@@ -6,6 +6,7 @@ Exit codes: 0 on success, 2 for an invalid specification, 3 for I/O errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -73,7 +74,12 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, help="Monte-Carlo trials per grid point")
     p.add_argument("--out", metavar="PATH", help="output CSV path (or stem for presets)")
     p.add_argument("--paper-scale", action="store_true", help="full-size N for presets")
-    p.add_argument("--workers", type=int, default=1, help="threads for grid points")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility (>= 1); grid points always run in order in one thread",
+    )
 
 
 def _settings(args: argparse.Namespace) -> dict:
@@ -123,6 +129,18 @@ def _print_kv(pairs: list[tuple[str, object]]) -> None:
     width = max(len(k) for k, _ in pairs)
     for k, v in pairs:
         print(f"{k.ljust(width)}  {v}")
+
+
+def _check_writable(path: Path) -> None:
+    """Raise OSError (exit 3) now if ``path`` cannot be written later."""
+    parent = path.parent
+    if not parent.is_dir():
+        raise OSError(f"cannot write {path}: directory {parent} does not exist")
+    if path.is_dir():
+        raise OSError(f"cannot write {path}: it is a directory")
+    target = path if path.exists() else parent
+    if not os.access(target, os.W_OK):
+        raise OSError(f"cannot write {path}: permission denied")
 
 
 def _write_single_row(columns: list[str], row: list[float | None], out: str) -> None:
@@ -175,6 +193,8 @@ def _cmd_pe(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     values = _settings(args)
     cfg = _model_config(values)
+    if args.out:
+        _check_writable(Path(args.out))
     report = transmission_savings_bounds(
         cfg, mode=args.mode, n_samples=max(values["trials"], 1000), seed=values["seed"]
     )
@@ -204,6 +224,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         n_trials=values["trials"],
         seed=values["seed"],
     )
+    if args.out:
+        _check_writable(Path(args.out))
     result = run_sweep(spec, workers=args.workers)
     print(summarize(result))
     if args.out:
@@ -219,9 +241,11 @@ def _cmd_preset(args: argparse.Namespace) -> int:
         args.name, paper_scale=args.paper_scale, n_trials=trials, seed=values["seed"]
     )
     stem = Path(args.out) if args.out else Path(args.name)
-    for label, spec in pairs:
+    out_paths = [stem.with_name(f"{stem.name}_{label}.csv") for label, _ in pairs]
+    for out_path in out_paths:
+        _check_writable(out_path)
+    for (label, spec), out_path in zip(pairs, out_paths):
         result = run_sweep(spec, workers=args.workers)
-        out_path = stem.with_name(f"{stem.name}_{label}.csv")
         emit_csv(result, out_path)
         print(f"[{args.name}/{label}]")
         print(summarize(result))

@@ -53,10 +53,10 @@ class ModelConfig:
 
     Attributes:
         n_sensors: number of sensors N (>= 1).
-        signal: signal strength s (> 0), in observation units.
-        noise_var: noise variance sigma^2 (> 0).
+        signal: signal strength s (finite, > 0), in observation units.
+        noise_var: noise variance sigma^2 (finite, > 0).
         byz_frac: probability alpha0 in [0, 1] that a sensor is compromised.
-        attack_strength: observation shift D (>= 0) applied by compromised
+        attack_strength: observation shift D (finite, >= 0) applied by compromised
             sensors, in observation units.
         prior_h1: prior probability of H1, in (0, 1).
     """
@@ -71,14 +71,16 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.n_sensors < 1 or int(self.n_sensors) != self.n_sensors:
             raise ValueError(f"n_sensors must be a positive integer, got {self.n_sensors}")
-        if not self.signal > 0:
-            raise ValueError(f"signal must be > 0, got {self.signal}")
-        if not self.noise_var > 0:
-            raise ValueError(f"noise_var must be > 0, got {self.noise_var}")
+        if not 0 < self.signal < math.inf:
+            raise ValueError(f"signal must be finite and > 0, got {self.signal}")
+        if not 0 < self.noise_var < math.inf:
+            raise ValueError(f"noise_var must be finite and > 0, got {self.noise_var}")
         if not 0.0 <= self.byz_frac <= 1.0:
             raise ValueError(f"byz_frac must be in [0, 1], got {self.byz_frac}")
-        if self.attack_strength < 0:
-            raise ValueError(f"attack_strength must be >= 0, got {self.attack_strength}")
+        if not 0 <= self.attack_strength < math.inf:
+            raise ValueError(
+                f"attack_strength must be finite and >= 0, got {self.attack_strength}"
+            )
         if not 0.0 < self.prior_h1 < 1.0:
             raise ValueError(f"prior_h1 must be in (0, 1), got {self.prior_h1}")
         if not math.isfinite(self.threshold):
@@ -131,12 +133,6 @@ class LlrMixture:
     def mean(self) -> float:
         """Mixture mean: weighted average of the component means."""
         return self.weight_byz * self.mean_byz + (1.0 - self.weight_byz) * self.mean_honest
-
-    def pdf(self, l):
-        return mixture_pdf(self, l)
-
-    def abs_cdf(self, x):
-        return abs_llr_cdf(self, x)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw i.i.d. LLRs: Bernoulli component choice, then a Gaussian."""

@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 _U64 = 1 << 64
+# run_batch works on blocks of about this many variates per array, so
+# its working set stays near a megabyte whatever N is.
+_BLOCK_ELEMENTS = 16384
 
 StopAction = Literal["decide_H0", "decide_H1", "continue"]
 
@@ -143,19 +146,24 @@ def _check_magnitude_sorted(llrs: np.ndarray) -> np.ndarray:
 
 def _stop_scan(
     ordered: np.ndarray, mags: np.ndarray, lam: float
-) -> tuple[int, Hypothesis, float]:
-    """(stop_k, decision, full_sum) for pre-validated magnitude-ordered LLRs."""
-    n = ordered.size
-    prefix = np.cumsum(ordered)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise stop scan over a block of magnitude-ordered LLR rows.
+
+    ``ordered`` and ``mags`` are (rows, N) arrays of pre-validated LLRs and
+    their magnitudes.  Returns per-row (stop_k, decide_h1, full_sum).
+    """
+    n = ordered.shape[1]
+    prefix = np.cumsum(ordered, axis=1)
     spread = (n - np.arange(1, n + 1)) * mags
     fire_h1 = prefix - spread > lam
-    fire_h0 = prefix + spread < lam
-    fired = fire_h1 | fire_h0
-    full_sum = float(prefix[-1])
-    if fired.any():
-        k = int(np.argmax(fired))
-        return k + 1, Hypothesis.H1 if fire_h1[k] else Hypothesis.H0, full_sum
-    return n, Hypothesis.H1 if full_sum > lam else Hypothesis.H0, full_sum
+    fired = fire_h1 | (prefix + spread < lam)
+    full_sum = prefix[:, -1]
+    first = np.arange(len(fired)), np.argmax(fired, axis=1)
+    stopped = fired[first]
+    stop_k = np.where(stopped, first[1] + 1, n)
+    # Where nothing fires the full sum ties the threshold; ties go to H0.
+    decide_h1 = np.where(stopped, fire_h1[first], full_sum > lam)
+    return stop_k, decide_h1, full_sum
 
 
 def stopping_rule(ordered_llrs: Sequence[float], lam: float) -> tuple[int, Hypothesis]:
@@ -173,8 +181,8 @@ def stopping_rule(ordered_llrs: Sequence[float], lam: float) -> tuple[int, Hypot
     if llrs.size == 0:
         raise ValueError("need at least one LLR")
     mags = _check_magnitude_sorted(llrs)
-    stop_k, decision, _ = _stop_scan(llrs, mags, lam)
-    return stop_k, decision
+    stop_k, decide_h1, _ = _stop_scan(llrs[None, :], mags[None, :], lam)
+    return int(stop_k[0]), Hypothesis(int(decide_h1[0]))
 
 
 def partial_sum_bounds(
@@ -207,32 +215,34 @@ def partial_sum_bounds(
 
 
 def _simulate(
-    config: ModelConfig, truth: Hypothesis, gen: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, int, Hypothesis, float]:
-    """Draw one trial's raw material and run the stopping engine.
+    config: ModelConfig, h1: np.ndarray, uniforms: np.ndarray, normals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run a block of trials from their raw variates through the stopping engine.
 
-    Consumes exactly two variate blocks (uniforms for the compromise mask,
-    then normals for the noise) so a stream replay is bit-for-bit stable.
+    Row r is one trial under H1 if ``h1[r]`` else H0: ``uniforms[r]`` draw
+    the compromise mask and ``normals[r]`` the noise, both in sensor order.
+    Returns (ordered LLRs, compromise mask, stop_k, decide_h1, full_sum),
+    one row or entry per trial.
     """
-    n = config.n_sensors
     s = config.signal
-    byz = gen.random(n) < config.byz_frac
-    noise = math.sqrt(config.noise_var) * gen.standard_normal(n)
-    if truth is Hypothesis.H1:
-        y = s + noise
-        shift = -config.attack_strength
-    else:
-        y = noise
-        shift = config.attack_strength
+    byz = uniforms < config.byz_frac
+    y = math.sqrt(config.noise_var) * normals + np.where(h1, s, 0.0)[:, None]
     if config.byz_frac > 0.0:
+        shift = np.where(h1, -config.attack_strength, config.attack_strength)[:, None]
         y = np.where(byz, y + shift, y)
     llrs = (2.0 * y * s - s * s) / (2.0 * config.noise_var)
-    mags = np.abs(llrs)
-    # Stable sort on -|L|: magnitude ties fall back to ascending sensor index.
-    order = np.argsort(-mags, kind="stable")
-    ordered = llrs[order]
-    stop_k, decision, full_sum = _stop_scan(ordered, mags[order], config.threshold)
-    return ordered, byz, stop_k, decision, full_sum
+    # Transmission order is a stable sort on -|L|: magnitude ties go to the
+    # lower sensor index.  A row without ties has one order under any sort,
+    # so the faster default sort runs first and only tied rows are re-sorted.
+    key = -np.abs(llrs)
+    order = np.argsort(key, axis=1)
+    sorted_key = np.take_along_axis(key, order, axis=1)
+    tied = (sorted_key[:, 1:] == sorted_key[:, :-1]).any(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(key[tied], axis=1, kind="stable")
+    ordered = np.take_along_axis(llrs, order, axis=1)
+    stop_k, decide_h1, full_sum = _stop_scan(ordered, np.abs(ordered), config.threshold)
+    return ordered, byz, stop_k, decide_h1, full_sum
 
 
 def draw_trial(config: ModelConfig, truth: Hypothesis, rng: RngSpec) -> TrialRecord:
@@ -240,17 +250,25 @@ def draw_trial(config: ModelConfig, truth: Hypothesis, rng: RngSpec) -> TrialRec
 
     Each sensor is independently compromised with probability byz_frac;
     compromised observations are shifted by the attack strength toward the
-    wrong hypothesis before the LLR is formed.
+    wrong hypothesis before the LLR is formed.  The stream is consumed as
+    N uniforms (compromise mask), then N normals (noise), so a replay is
+    bit-for-bit stable.
     """
     truth = Hypothesis(truth)
-    ordered, byz, stop_k, decision, full_sum = _simulate(config, truth, rng.generator())
+    gen = rng.generator()
+    n = config.n_sensors
+    uniforms = gen.random((1, n))
+    normals = gen.standard_normal((1, n))
+    ordered, byz, stop_k, decide_h1, full_sum = _simulate(
+        config, np.array([truth is Hypothesis.H1]), uniforms, normals
+    )
     return TrialRecord(
         truth=truth,
-        llrs_ordered=ordered,
-        byz_mask=byz,
-        stop_k=stop_k,
-        decision=decision,
-        full_sum=full_sum,
+        llrs_ordered=ordered[0],
+        byz_mask=byz[0],
+        stop_k=int(stop_k[0]),
+        decision=Hypothesis(int(decide_h1[0])),
+        full_sum=float(full_sum[0]),
     )
 
 
@@ -265,10 +283,12 @@ def _mean_with_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
 def run_batch(config: ModelConfig, n_trials: int, seed: int) -> BatchSummary:
     """Simulate ``n_trials`` independent trials with truth ~ Bernoulli(prior_h1).
 
-    Trial i uses stream (seed, i); the truth labels come from a stream in
-    the upper half of the counter space so they never collide with trial
-    streams.  Results are reduced in trial order, so the summary is a pure
-    function of (config, n_trials, seed) regardless of scheduling.
+    Trial i uses stream (seed, i), drawn exactly as :func:`draw_trial`
+    draws it; the truth labels come from a stream in the upper half of the
+    counter space so they never collide with trial streams.  Trials run in
+    blocks of rows through the same kernel as :func:`draw_trial`, and the
+    reduction is over exact integer counts, so the summary is a pure
+    function of (config, n_trials, seed).
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -283,12 +303,20 @@ def run_batch(config: ModelConfig, n_trials: int, seed: int) -> BatchSummary:
     sum_k = 0
     sum_k_sq = 0
     sampler = _StreamSampler(seed)
-    for i in range(n_trials):
-        truth = Hypothesis.H1 if truths[i] else Hypothesis.H0
-        _, _, stop_k, decision, _ = _simulate(config, truth, sampler.at(i))
-        errors += decision is not truth
-        sum_k += stop_k
-        sum_k_sq += stop_k * stop_k
+    rows = min(n_trials, max(1, _BLOCK_ELEMENTS // n))
+    uniforms = np.empty((rows, n))
+    normals = np.empty((rows, n))
+    for start in range(0, n_trials, rows):
+        m = min(rows, n_trials - start)
+        for r in range(m):
+            gen = sampler.at(start + r)
+            gen.random(out=uniforms[r])
+            gen.standard_normal(out=normals[r])
+        h1 = truths[start : start + m]
+        _, _, stop_k, decide_h1, _ = _simulate(config, h1, uniforms[:m], normals[:m])
+        errors += int(np.count_nonzero(decide_h1 != h1))
+        sum_k += int(stop_k.sum())
+        sum_k_sq += int((stop_k * stop_k).sum())
     pe = errors / n_trials
     pe_se = math.sqrt(pe * (1.0 - pe) / n_trials)
     mean_k, se_k = _mean_with_se(float(sum_k), float(sum_k_sq), n_trials)

@@ -4,7 +4,7 @@ A sweep varies one model parameter over a grid and evaluates a requested
 set of metrics at each point, carrying a standard-error column for every
 Monte-Carlo metric.  Output is deterministic for a fixed (spec, seed):
 every grid point derives its randomness from the spec seed alone, so runs
-are byte-reproducible regardless of worker count.
+are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -181,19 +180,16 @@ def _evaluate_point(spec: SweepSpec, value: float) -> tuple[float | None, ...]:
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Evaluate every grid point of ``spec``.
+    """Evaluate every grid point of ``spec``, in grid order, in this thread.
 
-    Grid points are independent; with ``workers > 1`` they run on a thread
-    pool.  Rows are assembled in grid order either way, so the result is a
-    pure function of the spec.
+    ``workers`` is validated (>= 1) and otherwise ignored; it is kept for
+    callers that pass it.  Points run serially because their numpy calls
+    are too short to release the GIL for long, so threads only add
+    contention.  The result is a pure function of the spec.
     """
     if workers < 1:
         raise SpecError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or len(spec.grid) == 1:
-        rows = [_evaluate_point(spec, v) for v in spec.grid]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda v: _evaluate_point(spec, v), spec.grid))
+    rows = [_evaluate_point(spec, v) for v in spec.grid]
     provenance = {
         "config_hash": spec.config_hash(),
         "seed": spec.seed,

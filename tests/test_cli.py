@@ -37,6 +37,13 @@ class TestSingleConfigCommands:
         assert "lb_saved" in out
         assert out_csv.exists()
 
+    @pytest.mark.parametrize("flag,value", [("--D", "nan"), ("--D", "inf"), ("--s", "inf")])
+    def test_non_finite_parameter_exits_2(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "pe", flag, value)
+        assert code == 2
+        assert "finite" in err
+        assert "nan" not in out
+
     def test_bounds_empirical_mode(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--N", "10", "--s", "3", "--mode", "empirical", "--trials", "2000"
@@ -101,6 +108,32 @@ class TestSweepCommand:
         assert code == 3
 
 
+    def test_unwritable_out_fails_before_computing(self, capsys, tmp_path, monkeypatch):
+        def not_called(*args, **kwargs):
+            raise AssertionError("the grid was computed before the --out check")
+
+        monkeypatch.setattr("otdetect.cli.run_sweep", not_called)
+        code, _, err = run_cli(
+            capsys,
+            "sweep",
+            "--param", "D",
+            "--grid", "0:2:1",
+            "--metrics", "pe_empirical",
+            "--out", str(tmp_path / "missing" / "x.csv"),
+        )
+        assert code == 3
+        assert "does not exist" in err
+        code, _, _ = run_cli(
+            capsys,
+            "sweep",
+            "--param", "D",
+            "--grid", "0:2:1",
+            "--metrics", "dc",
+            "--out", str(tmp_path),
+        )
+        assert code == 3
+
+
 class TestConfigFile:
     def test_file_and_cli_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -147,6 +180,17 @@ class TestPresetCommand:
             b2 = (tmp_path / f"r2_{label}.csv").read_bytes()
             b3 = (tmp_path / f"r3_{label}.csv").read_bytes()
             assert b1 == b2 == b3
+
+    def test_unwritable_out_fails_before_computing(self, capsys, tmp_path, monkeypatch):
+        def not_called(*args, **kwargs):
+            raise AssertionError("a curve was computed before the --out check")
+
+        monkeypatch.setattr("otdetect.cli.run_sweep", not_called)
+        code, _, err = run_cli(
+            capsys, "preset", "fig2", "--out", str(tmp_path / "missing" / "fig2")
+        )
+        assert code == 3
+        assert "does not exist" in err
 
     def test_unknown_preset_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit):

@@ -240,6 +240,11 @@ class TestModelConfigValidation:
             dict(n_sensors=3, signal=1.0, attack_strength=-1.0),
             dict(n_sensors=3, signal=1.0, prior_h1=0.0),
             dict(n_sensors=3, signal=1.0, prior_h1=1.0),
+            dict(n_sensors=3, signal=math.inf),
+            dict(n_sensors=3, signal=math.nan),
+            dict(n_sensors=3, signal=1.0, noise_var=math.inf),
+            dict(n_sensors=3, signal=1.0, attack_strength=math.inf),
+            dict(n_sensors=3, signal=1.0, attack_strength=math.nan),
         ],
     )
     def test_rejects_invalid(self, kwargs):

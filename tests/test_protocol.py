@@ -13,6 +13,7 @@ from otdetect import (
     run_batch,
     stopping_rule,
 )
+from otdetect.protocol import _simulate, _StreamSampler, _stop_scan
 from conftest import random_config
 
 
@@ -198,17 +199,26 @@ class TestRunBatch:
         assert c.pe != a.pe or c.mean_stop_k != a.mean_stop_k
 
     def test_matches_per_trial_draws(self):
-        # The batch path must replay exactly the draw_trial streams.
-        cfg = ModelConfig(n_sensors=8, signal=2.0, byz_frac=0.5, attack_strength=1.0)
-        batch = run_batch(cfg, 500, seed=11)
-        truth_gen = np.random.Generator(np.random.Philox(key=11, counter=1 << 255))
-        truths = truth_gen.random(500) < cfg.prior_h1
-        ks = [
-            draw_trial(cfg, Hypothesis.H1 if truths[i] else Hypothesis.H0, RngSpec(11, i)).stop_k
-            for i in range(500)
+        # The block path must replay exactly the draw_trial streams: one
+        # block, several full blocks plus a partial one, and a single trial.
+        cases = [
+            (ModelConfig(n_sensors=8, signal=2.0, byz_frac=0.5, attack_strength=1.0), 500, 11),
+            (ModelConfig(n_sensors=1000, signal=0.3, byz_frac=0.3, attack_strength=0.5), 50, 3),
+            (ModelConfig(n_sensors=10, signal=3.0, byz_frac=0.3, attack_strength=6.0), 5000, 7),
+            (ModelConfig(n_sensors=5, signal=1.0, prior_h1=0.3), 1, 4),
         ]
-        assert batch.mean_stop_k.value == pytest.approx(np.mean(ks))
-        assert batch.n_h1 == int(truths.sum())
+        for cfg, n_trials, seed in cases:
+            batch = run_batch(cfg, n_trials, seed=seed)
+            truth_gen = np.random.Generator(np.random.Philox(key=seed, counter=1 << 255))
+            truths = truth_gen.random(n_trials) < cfg.prior_h1
+            recs = [
+                draw_trial(cfg, Hypothesis(int(truths[i])), RngSpec(seed, i))
+                for i in range(n_trials)
+            ]
+            errors = sum(rec.decision is not rec.truth for rec in recs)
+            assert batch.mean_stop_k.value == sum(rec.stop_k for rec in recs) / n_trials
+            assert batch.pe.value == errors / n_trials
+            assert batch.n_h1 == int(truths.sum())
 
     def test_saved_plus_stop_is_n(self):
         cfg = ModelConfig(n_sensors=25, signal=2.0)
@@ -240,6 +250,59 @@ class TestRunBatch:
             rec = draw_trial(cfg, Hypothesis.H0, RngSpec(13, i))
             half += rec.stop_k <= (cfg.n_sensors + 1) // 2
         assert half / trials > 0.5
+
+
+class TestStopKernel:
+    def test_block_rows_match_stopping_rule(self):
+        # Rows that random draws cannot produce: tied magnitudes, and full
+        # sums exactly on the threshold; plus a row that stops early.
+        block = np.array(
+            [
+                [3.0, -3.0, 3.0, 1.0],
+                [2.0, -2.0, 0.5, -0.5],
+                [5.0, 4.0, 1.0, 0.5],
+                [-2.0, 2.0, -2.0, 2.0],
+            ]
+        )
+        lam = 0.0
+        stop_k, decide_h1, full_sum = _stop_scan(block, np.abs(block), lam)
+        expected = [(4, Hypothesis.H1), (4, Hypothesis.H0), (2, Hypothesis.H1), (4, Hypothesis.H0)]
+        for r, row in enumerate(block):
+            assert stopping_rule(row, lam) == expected[r]
+            assert (int(stop_k[r]), Hypothesis(int(decide_h1[r]))) == expected[r]
+            assert full_sum[r] == row.sum()
+
+    def test_block_simulation_orders_ties_by_sensor_index(self, rng):
+        # With s = 2, sigma^2 = 1 and no attack under H0, L = 2z - 2, so
+        # z = (k + 2)/2 gives the integer LLR k: many magnitude ties of both
+        # signs, in a block mixing tied rows with untied ones.  The order
+        # must be Python's stable sort on -|L|, and each row's stop must be
+        # the stopping rule's on that order.
+        n = 40
+        cfg = ModelConfig(n_sensors=n, signal=2.0)
+        ints = rng.integers(-6, 7, size=(6, n)).astype(float)
+        normals = np.vstack([(ints + 2.0) / 2.0, rng.standard_normal((3, n))])
+        uniforms = rng.random(normals.shape)
+        h1 = np.zeros(len(normals), dtype=bool)
+        ordered, _, stop_k, decide_h1, _ = _simulate(cfg, h1, uniforms, normals)
+        for r, z in enumerate(normals):
+            llrs = 2.0 * z - 2.0
+            want = llrs[sorted(range(n), key=lambda i: -abs(llrs[i]))]
+            np.testing.assert_array_equal(ordered[r], want)
+            got = (int(stop_k[r]), Hypothesis(int(decide_h1[r])))
+            assert got == stopping_rule(want, cfg.threshold)
+
+
+class TestStreamSampler:
+    def test_at_matches_fresh_generator(self):
+        # Repositioning one Philox state must give exactly the stream a
+        # fresh RngSpec generator gives, in any visiting order.
+        sampler = _StreamSampler(123)
+        for stream, n in ((7, 5), (0, 9), (2**62, 3), (1, 10), (2**40, 6), (7, 5)):
+            gen = sampler.at(stream)
+            ref = RngSpec(123, stream).generator()
+            assert np.array_equal(gen.random(n), ref.random(n))
+            assert np.array_equal(gen.standard_normal(n), ref.standard_normal(n))
 
 
 class TestRngSpec:
