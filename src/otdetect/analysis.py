@@ -7,7 +7,8 @@ against the trial simulator in :mod:`otdetect.protocol`:
   (a binomial mixture of Gaussian tails over the compromised-sensor count);
 * a Monte-Carlo evaluation of the exact order-statistic expression for the
   expected number of transmissions;
-* the density of the k-th largest LLR magnitude;
+* the density of the k-th largest LLR magnitude, and its CDF by the
+  binomial identity;
 * Cauchy-Schwarz upper/lower bounds on the expected transmissions saved.
 """
 
@@ -17,9 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy import special
 
 from .core import (
     EstimateWithError,
@@ -44,9 +43,6 @@ __all__ = [
     "abs_order_stat_cdf",
     "transmission_savings_bounds",
 ]
-
-_SQRT2 = math.sqrt(2.0)
-_QUAD_EPSABS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -101,13 +97,21 @@ def analytic_error_probs(config: ModelConfig) -> ErrorProbabilities:
     Conditioned on the number m of compromised sensors, the LLR sum is
     Gaussian with mean (N-m)*mean_honest + m*mean_byz and variance N*beta,
     so each probability is a Binomial(N, alpha0)-weighted sum of N+1
-    Gaussian tails.  Runs in O(N).
+    Gaussian tails.  Runs in O(N).  The Binomial(N, alpha0) weights come
+    from log-gamma and the xlogy forms, which stay exact at alpha0 = 0 and 1.
     """
     n = config.n_sensors
     lam = config.threshold
     scale = math.sqrt(n * config.llr_var)
     m = np.arange(n + 1)
-    weights = stats.binom.pmf(m, n, config.byz_frac)
+    p = config.byz_frac
+    weights = np.exp(
+        special.gammaln(n + 1)
+        - special.gammaln(m + 1)
+        - special.gammaln(n - m + 1)
+        + special.xlogy(m, p)
+        + special.xlog1py(n - m, -p)
+    )
 
     def tail_mix(h: Hypothesis) -> float:
         mix = llr_mixture(config, h)
@@ -203,87 +207,31 @@ def abs_order_stat_pdf(config: ModelConfig, hypothesis: Hypothesis, k: int, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _scalar_folded(mix: LlrMixture, x: float) -> tuple[float, float]:
-    """(density, CDF) of |L| at scalar x >= 0, on a fast math-only path."""
-    sd = mix.std
-    norm = 1.0 / (sd * math.sqrt(2.0 * math.pi))
+def _order_stat_cdf(mix: LlrMixture, n: int, k: int | np.ndarray, w: float | np.ndarray):
+    """P(k-th largest of N |L| draws <= w), elementwise over arrays ``k`` and ``w``.
 
-    def comp(mean: float) -> tuple[float, float]:
-        zp = (x - mean) / sd
-        zm = (x + mean) / sd
-        pdf = norm * (math.exp(-0.5 * zp * zp) + math.exp(-0.5 * zm * zm))
-        cdf = 0.5 * (math.erfc(-zm / _SQRT2) - math.erfc(zp / _SQRT2))
-        return pdf, cdf
-
-    a = mix.weight_byz
-    if a == 0.0:
-        return comp(mix.mean_honest)
-    if a == 1.0:
-        return comp(mix.mean_byz)
-    pdf_b, cdf_b = comp(mix.mean_byz)
-    pdf_h, cdf_h = comp(mix.mean_honest)
-    return a * pdf_b + (1.0 - a) * pdf_h, a * cdf_b + (1.0 - a) * cdf_h
-
-
-def _abs_support_hi(mix: LlrMixture) -> float:
-    """x beyond which |L| carries no representable mass."""
-    return max(abs(mix.mean_honest), abs(mix.mean_byz)) + 40.0 * mix.std
-
-
-def _abs_quantile(mix: LlrMixture, u: float, hi: float) -> float:
-    """Inverse of the |L| CDF by bracketing (u strictly inside (0, 1))."""
-    return brentq(lambda x: _scalar_folded(mix, x)[1] - u, 0.0, hi, xtol=1e-12)
-
-
-def _order_stat_cdf(mix: LlrMixture, n: int, k: int, w: float) -> float:
-    """P(k-th largest |L| <= w) by adaptive quadrature of its density.
-
-    The density can be a narrow spike well inside [0, w] for large N, so the
-    quadrature gets interior break points at the spike's location (the
-    Beta(n-k+1, k) quantiles of the underlying |L| probability mapped back
-    through the |L| quantile function).
+    The k-th largest is at most w exactly when at most k-1 of the N
+    magnitudes exceed w, so by the binomial identity the probability is
+    BinomCDF(k-1; N, 1 - F(w)) with F the |L| CDF (David & Nagaraja,
+    *Order Statistics*, section 2.1).  For w <= 0 all N magnitudes exceed w
+    (|L| has no atom at 0, F(0) = 0), so the CDF is exactly 0.
     """
-    if w <= 0.0:
-        return 0.0
-    hi = _abs_support_hi(mix)
-    w_eff = min(w, hi)
-    log_coef = math.log(n) + math.lgamma(n) - math.lgamma(k) - math.lgamma(n - k + 1)
-
-    def integrand(x: float) -> float:
-        f, cdf = _scalar_folded(mix, x)
-        if f <= 0.0:
-            return 0.0
-        if cdf <= 0.0:
-            return n * f if k == n else 0.0
-        if cdf >= 1.0:
-            return n * f if k == 1 else 0.0
-        return math.exp(
-            log_coef + math.log(f) + (n - k) * math.log(cdf) + (k - 1) * math.log1p(-cdf)
-        )
-
-    u_pts = stats.beta.ppf([1e-4, 0.5, 1.0 - 1e-4], n - k + 1, k)
-    pts = [_abs_quantile(mix, u, hi) for u in u_pts]
-    interior = [p for p in pts if 0.0 < p < w_eff]
-    value, _ = quad(
-        integrand,
-        0.0,
-        w_eff,
-        points=interior or None,
-        limit=200,
-        epsabs=_QUAD_EPSABS,
-        epsrel=1e-9,
-    )
-    return min(max(value, 0.0), 1.0)
+    exceed = 1.0 - abs_llr_cdf(mix, np.maximum(w, 0.0))
+    return special.bdtr(k - 1, n, exceed)
 
 
 def abs_order_stat_cdf(config: ModelConfig, hypothesis: Hypothesis, k: int, x: float) -> float:
-    """P(k-th largest LLR magnitude <= x), integrating :func:`abs_order_stat_pdf`."""
+    """P(k-th largest LLR magnitude <= x), by the binomial identity.
+
+    Equals the integral of :func:`abs_order_stat_pdf` from 0 to x, in closed
+    form: BinomCDF(k-1; N, P(|L| > x)).
+    """
     _check_order_stat_args(config, k)
     mix = llr_mixture(config, hypothesis)
-    return _order_stat_cdf(mix, config.n_sensors, k, float(x))
+    return float(_order_stat_cdf(mix, config.n_sensors, k, float(x)))
 
 
-def _envelope_radius(n: int, k: int, v: float | np.ndarray):
+def _envelope_radius(n: int, k: int | np.ndarray, v: float | np.ndarray):
     """Half-width of the Cauchy-Schwarz envelope on a k-term ordered head.
 
     For selector weights of k ones among N, the centered weight sum is
@@ -309,8 +257,9 @@ def transmission_savings_bounds(
     * upper bound: stopping implies g_U clears upward or g_L downward.
 
     ``mode="population"`` substitutes the per-sensor population mean and
-    (N/(N-1))-scaled variance into the envelope and integrates the k-th
-    magnitude order-statistic density (good for large N).
+    (N/(N-1))-scaled variance into the envelope and evaluates each
+    threshold event on the k-th largest magnitude by the binomial identity
+    (see :func:`abs_order_stat_cdf`), for all k at once.
     ``mode="empirical"`` redraws the envelope from each simulated
     realization's sample mean/variance and counts events directly.
     """
@@ -329,24 +278,23 @@ def transmission_savings_bounds(
 
     if mode == "population":
         mom = population_moments(config)
+        n_rem = n - ks
         for h in (Hypothesis.H0, Hypothesis.H1):
             mix = llr_mixture(config, h)
             delta = mom.mean(h)
-            v = n / (n - 1) * mom.var(h)
-            for k in ks:
-                rad = float(_envelope_radius(n, int(k), v))
-                g_u = rad + k * delta
-                g_l = -rad + k * delta
-                g_upper[k - 1, int(h)] = g_u
-                g_lower[k - 1, int(h)] = g_l
-                n_rem = n - int(k)
-                p_ub_1 = _order_stat_cdf(mix, n, int(k), (g_u - lam) / n_rem)
-                p_ub_2 = _order_stat_cdf(mix, n, int(k), (lam - g_l) / n_rem)
-                ub_term = p_ub_1 + p_ub_2 - min(p_ub_1, p_ub_2)
-                lb_term = _order_stat_cdf(mix, n, int(k), (g_l - lam) / n_rem)
-                lb_term += _order_stat_cdf(mix, n, int(k), (lam - g_u) / n_rem)
-                ub += priors[h] * ub_term
-                lb += priors[h] * lb_term
+            rad = _envelope_radius(n, ks, n / (n - 1) * mom.var(h))
+            g_u = rad + ks * delta
+            g_l = -rad + ks * delta
+            g_upper[:, int(h)] = g_u
+            g_lower[:, int(h)] = g_l
+
+            def cdf(w):
+                return _order_stat_cdf(mix, n, ks, w / n_rem)
+
+            ub_terms = np.maximum(cdf(g_u - lam), cdf(lam - g_l))
+            lb_terms = cdf(g_l - lam) + cdf(lam - g_u)
+            ub += priors[h] * float(ub_terms.sum())
+            lb += priors[h] * float(lb_terms.sum())
     else:
         if n_samples < 1000:
             raise ValueError(f"n_samples must be >= 1000, got {n_samples}")

@@ -171,11 +171,10 @@ def q_function(x):
 
     Computed through the complementary error function, so the relative error
     stays at machine precision across the whole tail (no series cutoffs or
-    lookup tables).  Accepts scalars or arrays.
+    lookup tables).  Accepts scalars or arrays; a scalar gives a Python float.
     """
-    if np.ndim(x) == 0:
-        return 0.5 * math.erfc(float(x) / _SQRT2)
-    return 0.5 * special.erfc(np.asarray(x, dtype=float) / _SQRT2)
+    out = 0.5 * special.erfc(np.asarray(x, dtype=float) / _SQRT2)
+    return float(out) if out.ndim == 0 else out
 
 
 def llr_mixture(config: ModelConfig, hypothesis: Hypothesis) -> LlrMixture:

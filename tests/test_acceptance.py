@@ -1,13 +1,11 @@
 """Acceptance suite: one test per acceptance criterion, at stated tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
-per criterion.  Criterion 5 also covers the full-size network (N = 300)
-when the environment variable OTDETECT_PAPER_SCALE=1 is set, mirroring the
-CLI's --paper-scale flag.
+per criterion.  Criterion 5 covers both the desk-scale network (N = 100)
+and the full-size one (N = 300) of the CLI's --paper-scale flag.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -32,8 +30,6 @@ from scipy.integrate import quad
 
 from conftest import random_config
 from test_analysis import power_set_error_probs
-
-PAPER_SCALE = os.environ.get("OTDETECT_PAPER_SCALE", "") == "1"
 
 
 def report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -170,12 +166,9 @@ def test_criterion_05_savings_bounds_sandwich():
     desk_elapsed = time.time() - t0
     details = f"desk worst margin = {margin:.3f}, {desk_elapsed:.1f}s"
     ok = margin >= 0.0 and ordered and desk_elapsed < 600
-    if PAPER_SCALE:
-        margin300, ordered300 = _sandwich_margins(n_sensors=300, n_trials=2000, seed=78)
-        details += f"; N=300 worst margin = {margin300:.3f}"
-        ok = ok and margin300 >= 0.0 and ordered300
-    else:
-        details += "; N=300 skipped (set OTDETECT_PAPER_SCALE=1)"
+    margin300, ordered300 = _sandwich_margins(n_sensors=300, n_trials=2000, seed=78)
+    details += f"; N=300 worst margin = {margin300:.3f}"
+    ok = ok and margin300 >= 0.0 and ordered300
     report(
         5,
         "lower/upper bounds sandwich the simulated transmissions saved",

@@ -3,20 +3,19 @@ order-statistic densities, and savings bounds.
 
 Each closed-form path is checked against an independent oracle: literal
 power-set enumeration, quadrature of hand-built densities, large-sample
-simulation, or the binomial tail identity for order statistics.
+simulation, or quadrature of the order-statistic density (the program
+uses the binomial tail identity instead).
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy import stats
 from scipy.integrate import quad
 
 from otdetect import (
     Hypothesis,
     ModelConfig,
-    abs_llr_cdf,
     abs_llr_pdf,
     abs_order_stat_cdf,
     abs_order_stat_pdf,
@@ -24,6 +23,7 @@ from otdetect import (
     expected_transmissions,
     llr_mixture,
     q_function,
+    population_moments,
     run_batch,
     transmission_savings_bounds,
 )
@@ -59,6 +59,46 @@ def global_sum_pdf(cfg: ModelConfig, h: Hypothesis, z):
             2 * math.pi * var
         )
     return total
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def order_stat_cdf_by_quadrature(cfg: ModelConfig, h: Hypothesis, k: int, w: float) -> float:
+    """P(k-th largest LLR magnitude <= w) by quadrature of its density (oracle).
+
+    Composite 16-point Gauss-Legendre rule for abs_order_stat_pdf on [0, w],
+    with break points every 0.1: at N = 300 and s = 3 the density's spike is
+    0.04 wide at its narrowest, and halving the panels moves the results by
+    < 1e-13.  Past 12 sd beyond the farthest component mean the density is
+    below 1e-25 and is not integrated.
+    """
+    if w <= 0.0:
+        return 0.0
+    mix = llr_mixture(cfg, h)
+    top = min(w, max(abs(mix.mean_honest), abs(mix.mean_byz)) + 12.0 * mix.std)
+    edges = np.linspace(0.0, top, math.ceil(top / 0.1) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = edges[:-1, None] + half * (1.0 + _GL_NODES)
+    return float(np.sum(half * _GL_WEIGHTS * abs_order_stat_pdf(cfg, h, k, x)))
+
+
+def savings_bounds_by_quadrature(cfg: ModelConfig) -> tuple[float, float]:
+    """(lb_saved, ub_saved) of the population bounds, one quadrature per term."""
+    n, lam = cfg.n_sensors, cfg.threshold
+    mom = population_moments(cfg)
+    lb = ub = 0.0
+    for h, prior in ((Hypothesis.H0, cfg.prior_h0), (Hypothesis.H1, cfg.prior_h1)):
+        for k in range(1, n):
+            rad = _envelope_radius(n, k, n / (n - 1) * mom.var(h))
+            g_u, g_l = k * mom.mean(h) + rad, k * mom.mean(h) - rad
+
+            def cdf(w):
+                return order_stat_cdf_by_quadrature(cfg, h, k, w / (n - k))
+
+            ub += prior * max(cdf(g_u - lam), cdf(lam - g_l))
+            lb += prior * (cdf(g_l - lam) + cdf(lam - g_u))
+    return lb, ub
 
 
 class TestAnalyticErrorProbs:
@@ -231,16 +271,19 @@ class TestAbsOrderStatPdf:
         iae = np.abs(counts / m - model_mass).sum()
         assert iae < 0.02
 
-    def test_cdf_matches_binomial_tail_identity(self):
-        # P(k-th largest <= w) == P(at most k-1 magnitudes exceed w).
-        cfg = self.CFG
-        mix = llr_mixture(cfg, Hypothesis.H0)
+    def test_cdf_matches_quadrature_of_density(self):
+        # The program uses the binomial tail identity; the oracle integrates the density.
         for k in (1, 3, 10):
             for w in (0.5, 4.0, 9.0, 15.0):
-                by_quad = abs_order_stat_cdf(cfg, Hypothesis.H0, k, w)
-                tail_p = 1.0 - abs_llr_cdf(mix, w)
-                oracle = stats.binom.cdf(k - 1, 10, tail_p)
-                assert by_quad == pytest.approx(float(oracle), abs=1e-8)
+                cdf = abs_order_stat_cdf(self.CFG, Hypothesis.H0, k, w)
+                oracle = order_stat_cdf_by_quadrature(self.CFG, Hypothesis.H0, k, w)
+                assert cdf == pytest.approx(oracle, abs=1e-12)
+        big = self.CFG.replace(n_sensors=300, attack_strength=4.0)
+        for k in (1, 30, 150, 299, 300):
+            for w in (0.05, 1.0, 5.0, 9.0, 20.0):
+                cdf = abs_order_stat_cdf(big, Hypothesis.H1, k, w)
+                oracle = order_stat_cdf_by_quadrature(big, Hypothesis.H1, k, w)
+                assert cdf == pytest.approx(oracle, abs=1e-11)
 
     def test_stochastic_ordering_in_k(self):
         # The k-th largest magnitude dominates the (k+1)-th.
@@ -266,8 +309,19 @@ class TestSavingsBounds:
     def test_nonpositive_limit_contributes_zero(self):
         cfg = ModelConfig(n_sensors=5, signal=2.0, byz_frac=0.2, attack_strength=1.0)
         mix = llr_mixture(cfg, Hypothesis.H1)
-        assert _order_stat_cdf(mix, 5, 2, 0.0) == 0.0
-        assert _order_stat_cdf(mix, 5, 2, -3.0) == 0.0
+        cdf = _order_stat_cdf(mix, 5, np.array([2, 2, 5, 1]), np.array([0.0, -3.0, -1e-300, 2.0]))
+        np.testing.assert_array_equal(cdf[:3], 0.0)
+        assert 0.0 < cdf[3] < 1.0
+
+    def test_population_bounds_match_quadrature_sum(self):
+        for d in (3.0, 8.0):
+            cfg = ModelConfig(
+                n_sensors=300, signal=3.0, noise_var=1.0, byz_frac=0.3, attack_strength=d
+            )
+            rep = transmission_savings_bounds(cfg)
+            lb, ub = savings_bounds_by_quadrature(cfg)
+            assert rep.lb_saved == pytest.approx(lb, abs=1e-9)
+            assert rep.ub_saved == pytest.approx(ub, abs=1e-9)
 
     def test_lb_below_ub_random_configs(self, rng):
         for _ in range(6):

@@ -1,7 +1,13 @@
-"""Command-line interface: subcommands, config precedence, exit codes."""
+"""Command-line interface: subcommands, config precedence, exit codes, import cost."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import otdetect
 from otdetect.cli import main
 
 
@@ -88,6 +94,14 @@ class TestSweepCommand:
             capsys, "sweep", "--param", "D", "--grid", "4:0:1", "--metrics", "dc"
         )
         assert code == 2
+
+    def test_nt_analytic_above_validated_n_exits_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "sweep", "--param", "D", "--grid", "0:4:2", "--metrics", "nt_analytic",
+            "--N", "300",
+        )
+        assert code == 2
+        assert "nt_analytic" in err
 
     def test_invalid_model_value_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -195,3 +209,23 @@ class TestPresetCommand:
     def test_unknown_preset_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit):
             main(["preset", "fig9"])  # argparse rejects the choice
+
+
+def test_cli_import_skips_slow_scipy_subpackages():
+    # scipy.stats alone takes about 0.9 s to import, all of it start-up cost
+    # of every CLI call; the package needs only numpy and scipy.special.
+    src = str(Path(otdetect.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = (
+        "import otdetect.cli, sys; "
+        "print(' '.join(m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.strip() == ""
