@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, config precedence, exit codes, import cost."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -229,3 +231,19 @@ def test_cli_import_skips_slow_scipy_subpackages():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.stdout.strip() == ""
+
+
+def test_benchmark_tracer_targets_exist():
+    # perfbench/spans.py traces a run by replacing otdetect.<module>.<name>
+    # attributes; a driver refactor that drops one of those imports would
+    # break the traced benchmark run.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    loader_spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(loader_spec)
+    loader_spec.loader.exec_module(spans)
+    targets = [spans.ROOT] + [f"{m}.{n}" for m, names, _ in spans.WRAPPED for n in names]
+    assert len(targets) == 14
+    for target in targets:
+        module_name, name = target.split(".")
+        module = importlib.import_module(f"otdetect.{module_name}")
+        assert callable(getattr(module, name, None)), target

@@ -1,5 +1,6 @@
 """Sweep driver, CSV emission, summaries, presets."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -16,7 +17,7 @@ from otdetect import (
     run_sweep,
     summarize,
 )
-from otdetect.sweep import NT_ANALYTIC_MAX_N
+from otdetect.sweep import NT_ANALYTIC_MAX_N, PRESET_NAMES
 
 BASE = ModelConfig(n_sensors=10, signal=3.0, noise_var=1.0, byz_frac=0.3, attack_strength=0.0)
 
@@ -146,6 +147,15 @@ class TestEmitCsv:
         assert meta["config_hash"] == spec.config_hash()
         assert meta["seed"] == spec.seed
 
+    def test_config_hash_pinned(self):
+        # The hash is written into every sidecar, so it must not drift.
+        assert small_spec().config_hash() == (
+            "78a751b86d94b3d6eb91888ba26d3f88ceec9cc319fdb9e9216d9114995e25eb"
+        )
+        assert dict(preset_specs("fig2"))["alpha0.3"].config_hash() == (
+            "ba36e4428e93d55d962482d7330003aaeace0c5efe57cb0f11b6fb74f5301123"
+        )
+
     def test_na_cells(self, tmp_path):
         spec = small_spec(base=BASE.replace(byz_frac=0.0), metrics=("d_star",), grid=(0.0, 1.0))
         path = emit_csv(run_sweep(spec), tmp_path / "na.csv")
@@ -184,8 +194,71 @@ class TestSummarize:
             summarize(SweepResult(columns=("D",), rows=()))
 
 
+_DESK_N_GRID = (5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 100.0)
+_PAPER_N_GRID = (10.0, 25.0, 50.0, 100.0, 200.0, 300.0)
+_D_GRID_HALF = (
+    0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0,
+    6.5, 7.0, 7.5, 8.0, 8.5, 9.0, 9.5, 10.0, 10.5, 11.0, 11.5, 12.0,
+)
+_D_GRID_ONE = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0)
+_N_CURVES = {
+    "s0.5": dict(
+        n_sensors=10, signal=0.5, noise_var=1.0, byz_frac=0.3, attack_strength=6.0, prior_h1=0.5
+    ),
+    "s4": dict(
+        n_sensors=10, signal=4.0, noise_var=1.0, byz_frac=0.3, attack_strength=6.0, prior_h1=0.5
+    ),
+}
+
+
+def _d_curves(n):
+    return {
+        "alpha0.3": dict(
+            n_sensors=n, signal=3.0, noise_var=1.0, byz_frac=0.3, attack_strength=0.0, prior_h1=0.5
+        ),
+        "alpha0.5": dict(
+            n_sensors=n, signal=3.0, noise_var=1.0, byz_frac=0.5, attack_strength=0.0, prior_h1=0.5
+        ),
+    }
+
+
+# (preset, paper_scale) -> (sweep_param, grid, metrics, default trials, base per curve label)
+PRESET_PINS = {
+    ("fig1a", False): ("N", _DESK_N_GRID, ("ns_empirical",), 4000, _N_CURVES),
+    ("fig1a", True): ("N", _PAPER_N_GRID, ("ns_empirical",), 4000, _N_CURVES),
+    ("fig1b", False): ("N", _DESK_N_GRID, ("pe_analytic", "pe_empirical"), 4000, _N_CURVES),
+    ("fig1b", True): ("N", _PAPER_N_GRID, ("pe_analytic", "pe_empirical"), 4000, _N_CURVES),
+    ("fig2", False): ("D", _D_GRID_HALF, ("ns_empirical", "nt_analytic"), 20_000, _d_curves(10)),
+    ("fig2", True): ("D", _D_GRID_HALF, ("ns_empirical", "nt_analytic"), 20_000, _d_curves(10)),
+    ("fig3", False): (
+        "D", _D_GRID_ONE, ("ns_empirical", "ns_lb", "ns_ub"), 4000, _d_curves(100)
+    ),
+    ("fig3", True): ("D", _D_GRID_ONE, ("ns_empirical", "ns_lb", "ns_ub"), 4000, _d_curves(300)),
+    ("fig4", False): ("D", _D_GRID_HALF, ("pe_analytic", "pe_empirical"), 10_000, _d_curves(100)),
+    ("fig4", True): ("D", _D_GRID_HALF, ("pe_analytic", "pe_empirical"), 10_000, _d_curves(300)),
+}
+
+
 class TestPresets:
+    @pytest.mark.parametrize("name,paper_scale", sorted(PRESET_PINS))
+    def test_pinned_specs(self, name, paper_scale):
+        param, grid, metrics, trials, curves = PRESET_PINS[name, paper_scale]
+        pairs = preset_specs(name, paper_scale=paper_scale, seed=11)
+        assert [label for label, _ in pairs] == list(curves)
+        for label, spec in pairs:
+            assert spec.sweep_param == param
+            assert spec.grid == grid
+            assert spec.metrics == metrics
+            assert spec.n_trials == trials
+            assert spec.seed == 11
+            base = dataclasses.asdict(spec.base)
+            assert base == curves[label]
+            # Float fields stay floats: 3 and 3.0 hash differently in the sidecar.
+            assert [type(v) for v in base.values()] == [int] + [float] * 5
+            assert all(type(v) is float for v in spec.grid)
+
     def test_names_and_variants(self):
+        assert PRESET_NAMES == ("fig1a", "fig1b", "fig2", "fig3", "fig4")
         for name in ("fig1a", "fig1b", "fig2", "fig3", "fig4"):
             pairs = preset_specs(name, n_trials=100)
             assert len(pairs) == 2
