@@ -15,6 +15,7 @@ from .attack import deflection_coefficient
 from .core import ModelConfig
 from .sweep import (
     METRICS,
+    PARAM_FIELDS,
     PRESET_NAMES,
     SWEEP_PARAMS,
     SpecError,
@@ -90,18 +91,13 @@ def _settings(args: argparse.Namespace) -> dict:
         cli_val = getattr(args, key, None)
         if cli_val is not None:
             values[key] = cli_val
+    if args.workers < 1:
+        raise SpecError(f"--workers must be >= 1, got {args.workers}")
     return values
 
 
 def _model_config(values: dict) -> ModelConfig:
-    return ModelConfig(
-        n_sensors=values["N"],
-        signal=values["s"],
-        noise_var=values["sigma2"],
-        byz_frac=values["alpha0"],
-        attack_strength=values["D"],
-        prior_h1=values["prior_h1"],
-    )
+    return ModelConfig(**{fld: values[key] for key, fld in PARAM_FIELDS.items()})
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -226,7 +222,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     if args.out:
         _check_writable(Path(args.out))
-    result = run_sweep(spec, workers=args.workers)
+    result = run_sweep(spec)
     print(summarize(result))
     if args.out:
         path = emit_csv(result, args.out)
@@ -245,7 +241,7 @@ def _cmd_preset(args: argparse.Namespace) -> int:
     for out_path in out_paths:
         _check_writable(out_path)
     for (label, spec), out_path in zip(pairs, out_paths):
-        result = run_sweep(spec, workers=args.workers)
+        result = run_sweep(spec)
         emit_csv(result, out_path)
         print(f"[{args.name}/{label}]")
         print(summarize(result))
@@ -295,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, ValueError) as exc:
+    except (SpecError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -85,6 +85,19 @@ class ModelConfig:
             raise ValueError(f"prior_h1 must be in (0, 1), got {self.prior_h1}")
         if not math.isfinite(self.threshold):
             raise ValueError("decision threshold ln(prior_h0/prior_h1) is not finite")
+        # Finite inputs can still overflow the LLR moments (s^2/sigma^2, or a
+        # compromised mean of about D s/sigma^2); float ** raises on overflow.
+        try:
+            mom = population_moments(self)
+            finite = math.isfinite(mom.var_h0) and math.isfinite(mom.var_h1)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(
+                "LLR moments are not finite: signal, noise_var and attack_strength "
+                f"overflow them (s={self.signal}, sigma2={self.noise_var}, "
+                f"D={self.attack_strength})"
+            )
 
     @property
     def prior_h0(self) -> float:

@@ -10,8 +10,10 @@ are byte-reproducible.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +35,15 @@ __all__ = [
     "PRESET_NAMES",
 ]
 
+# Parameter names of the CLI and of sweeps -> the ModelConfig fields they set.
+PARAM_FIELDS = {
+    "N": "n_sensors",
+    "s": "signal",
+    "sigma2": "noise_var",
+    "alpha0": "byz_frac",
+    "D": "attack_strength",
+    "prior_h1": "prior_h1",
+}
 SWEEP_PARAMS = ("N", "s", "D", "alpha0")
 METRICS = (
     "pe_analytic",
@@ -89,7 +100,9 @@ class SweepSpec:
             raise SpecError(f"unknown metrics {unknown}; choose from {METRICS}")
         if self.n_trials < 1:
             raise SpecError(f"n_trials must be >= 1, got {self.n_trials}")
-        if self.sweep_param == "N" and any(v < 1 or v != int(v) for v in self.grid):
+        if self.sweep_param == "N" and any(
+            not 1 <= v < math.inf or v != int(v) for v in self.grid
+        ):
             raise SpecError("an N grid must contain positive integers")
         # Every grid point must form a valid config.
         largest_n = max(self.config_at(value).n_sensors for value in self.grid)
@@ -101,14 +114,9 @@ class SweepSpec:
 
     def config_at(self, value: float) -> ModelConfig:
         """The model config at one grid value of the swept parameter."""
+        cast = int if self.sweep_param == "N" else float
         try:
-            if self.sweep_param == "N":
-                return self.base.replace(n_sensors=int(value))
-            if self.sweep_param == "s":
-                return self.base.replace(signal=float(value))
-            if self.sweep_param == "D":
-                return self.base.replace(attack_strength=float(value))
-            return self.base.replace(byz_frac=float(value))
+            return self.base.replace(**{PARAM_FIELDS[self.sweep_param]: cast(value)})
         except ValueError as exc:
             raise SpecError(f"grid value {value} invalid for {self.sweep_param}: {exc}") from exc
 
@@ -120,26 +128,9 @@ class SweepSpec:
                 cols.append(m + "_se")
         return tuple(cols)
 
-    def canonical(self) -> dict:
-        """JSON-ready dict used for hashing and the CSV sidecar."""
-        return {
-            "base": {
-                "n_sensors": self.base.n_sensors,
-                "signal": self.base.signal,
-                "noise_var": self.base.noise_var,
-                "byz_frac": self.base.byz_frac,
-                "attack_strength": self.base.attack_strength,
-                "prior_h1": self.base.prior_h1,
-            },
-            "sweep_param": self.sweep_param,
-            "grid": list(self.grid),
-            "metrics": list(self.metrics),
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-        }
-
     def config_hash(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True).encode()
+        """SHA-256 of the spec's fields as sorted-key JSON (recorded in the sidecar)."""
+        blob = json.dumps(dataclasses.asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
@@ -190,16 +181,13 @@ def _evaluate_point(spec: SweepSpec, value: float) -> tuple[float | None, ...]:
     return tuple(cells.get(c) for c in spec.columns())
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point of ``spec``, in grid order, in this thread.
 
-    ``workers`` is validated (>= 1) and otherwise ignored; it is kept for
-    callers that pass it.  Points run serially because their numpy calls
-    are too short to release the GIL for long, so threads only add
-    contention.  The result is a pure function of the spec.
+    Points run serially because their numpy calls are too short to release
+    the GIL for long, so threads only add contention.  The result is a pure
+    function of the spec.
     """
-    if workers < 1:
-        raise SpecError(f"workers must be >= 1, got {workers}")
     rows = [_evaluate_point(spec, v) for v in spec.grid]
     provenance = {
         "config_hash": spec.config_hash(),
@@ -280,15 +268,18 @@ def _format_shown(value: float | None) -> str:
     return "NA" if value is None else f"{value:.6g}"
 
 
-PRESET_NAMES = ("fig1a", "fig1b", "fig2", "fig3", "fig4")
-
 _DESK_N_GRID = (5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 100.0)
 _PAPER_N_GRID = (10.0, 25.0, 50.0, 100.0, 200.0, 300.0)
-
-
-def _d_grid(step: float, stop: float = 12.0) -> tuple[float, ...]:
-    n = int(round(stop / step))
-    return tuple(i * step for i in range(n + 1))
+# name -> (metrics, default trials, D-grid step or None for an N sweep,
+#          N at desk scale, N at paper scale)
+_PRESETS = {
+    "fig1a": (("ns_empirical",), 4000, None, 10, 10),
+    "fig1b": (("pe_analytic", "pe_empirical"), 4000, None, 10, 10),
+    "fig2": (("ns_empirical", "nt_analytic"), 20_000, 0.5, 10, 10),
+    "fig3": (("ns_empirical", "ns_lb", "ns_ub"), 4000, 1.0, 100, 300),
+    "fig4": (("pe_analytic", "pe_empirical"), 10_000, 0.5, 100, 300),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_specs(
@@ -299,68 +290,38 @@ def preset_specs(
 ) -> list[tuple[str, SweepSpec]]:
     """Named experiment presets as (label, spec) pairs, one spec per curve.
 
-    Shared assumptions: equal priors, noise_var = 1.  The D sweeps fix
-    s = 3 so the blinding strength lands at 5 for a 0.3 compromised
-    fraction (and 3 for 0.5).  At desk scale the large-network presets run
-    with N = 100; ``paper_scale`` raises them to N = 300 and widens the
-    N sweeps.
+    Shared assumptions: equal priors, noise_var = 1.  The N sweeps draw one
+    curve per signal strength s in {0.5, 4} at alpha0 = 0.3, D = 6.  The D
+    sweeps run from 0 to 12 and fix s = 3 so the blinding strength lands at
+    5 for a 0.3 compromised fraction (and 3 for 0.5).  At desk scale the
+    large-network presets run with N = 100; ``paper_scale`` raises them to
+    N = 300 and widens the N sweeps.
     """
-    if name not in PRESET_NAMES:
+    if name not in _PRESETS:
         raise SpecError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    big_n = 300 if paper_scale else 100
-    out: list[tuple[str, SweepSpec]] = []
-    if name in ("fig1a", "fig1b"):
-        metrics = ("ns_empirical",) if name == "fig1a" else ("pe_analytic", "pe_empirical")
-        trials = n_trials if n_trials is not None else 4000
-        for s in (0.5, 4.0):
-            base = ModelConfig(
-                n_sensors=10, signal=s, noise_var=1.0, byz_frac=0.3, attack_strength=6.0
-            )
-            spec = SweepSpec(
-                base=base,
-                sweep_param="N",
-                grid=_PAPER_N_GRID if paper_scale else _DESK_N_GRID,
+    metrics, default_trials, d_step, desk_n, paper_n = _PRESETS[name]
+    if d_step is None:
+        param, grid = "N", _PAPER_N_GRID if paper_scale else _DESK_N_GRID
+        curves = [
+            (f"s{s:g}", dict(signal=s, byz_frac=0.3, attack_strength=6.0)) for s in (0.5, 4.0)
+        ]
+    else:
+        param, grid = "D", tuple(i * d_step for i in range(int(round(12.0 / d_step)) + 1))
+        curves = [
+            (f"alpha{a:g}", dict(signal=3.0, byz_frac=a, attack_strength=0.0)) for a in (0.3, 0.5)
+        ]
+    n_sensors = paper_n if paper_scale else desk_n
+    return [
+        (
+            label,
+            SweepSpec(
+                base=ModelConfig(n_sensors=n_sensors, noise_var=1.0, **fields),
+                sweep_param=param,
+                grid=grid,
                 metrics=metrics,
-                n_trials=trials,
+                n_trials=default_trials if n_trials is None else n_trials,
                 seed=seed,
-            )
-            out.append((f"s{s:g}", spec))
-        return out
-    if name == "fig2":
-        trials = n_trials if n_trials is not None else 20_000
-        for alpha in (0.3, 0.5):
-            base = ModelConfig(
-                n_sensors=10, signal=3.0, noise_var=1.0, byz_frac=alpha, attack_strength=0.0
-            )
-            spec = SweepSpec(
-                base=base,
-                sweep_param="D",
-                grid=_d_grid(0.5),
-                metrics=("ns_empirical", "nt_analytic"),
-                n_trials=trials,
-                seed=seed,
-            )
-            out.append((f"alpha{alpha:g}", spec))
-        return out
-    if name == "fig3":
-        trials = n_trials if n_trials is not None else 4000
-        metrics = ("ns_empirical", "ns_lb", "ns_ub")
-        grid = _d_grid(1.0)
-    else:  # fig4
-        trials = n_trials if n_trials is not None else 10_000
-        metrics = ("pe_analytic", "pe_empirical")
-        grid = _d_grid(0.5)
-    for alpha in (0.3, 0.5):
-        base = ModelConfig(
-            n_sensors=big_n, signal=3.0, noise_var=1.0, byz_frac=alpha, attack_strength=0.0
+            ),
         )
-        spec = SweepSpec(
-            base=base,
-            sweep_param="D",
-            grid=grid,
-            metrics=metrics,
-            n_trials=trials,
-            seed=seed,
-        )
-        out.append((f"alpha{alpha:g}", spec))
-    return out
+        for label, fields in curves
+    ]

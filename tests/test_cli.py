@@ -45,12 +45,26 @@ class TestSingleConfigCommands:
         assert "lb_saved" in out
         assert out_csv.exists()
 
-    @pytest.mark.parametrize("flag,value", [("--D", "nan"), ("--D", "inf"), ("--s", "inf")])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--D", "nan"),
+            ("--D", "inf"),
+            ("--s", "inf"),
+            # Finite values that overflow the LLR moments.
+            ("--D", "1e308"),
+            ("--D", "1e200"),
+            ("--s", "1e200"),
+            ("--s", "1e160"),
+            ("--sigma2", "1e-320"),
+        ],
+    )
     def test_non_finite_parameter_exits_2(self, capsys, flag, value):
-        code, out, err = run_cli(capsys, "pe", flag, value)
-        assert code == 2
-        assert "finite" in err
-        assert "nan" not in out
+        for command in ("pe", "dc", "bounds"):
+            code, out, err = run_cli(capsys, command, flag, value)
+            assert code == 2, command
+            assert "finite" in err
+            assert "nan" not in out
 
     def test_bounds_empirical_mode(self, capsys):
         code, out, _ = run_cli(
@@ -96,6 +110,11 @@ class TestSweepCommand:
             capsys, "sweep", "--param", "D", "--grid", "4:0:1", "--metrics", "dc"
         )
         assert code == 2
+        # An infinite range overflows the point count: exit 2, not a traceback.
+        code, _, _ = run_cli(
+            capsys, "sweep", "--param", "D", "--grid", "0:inf:1", "--metrics", "dc"
+        )
+        assert code == 2
 
     def test_nt_analytic_above_validated_n_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -123,6 +142,19 @@ class TestSweepCommand:
         )
         assert code == 3
 
+    def test_workers_below_one_exits_2(self, capsys, monkeypatch):
+        def not_called(*args, **kwargs):
+            raise AssertionError("the grid was computed before the --workers check")
+
+        monkeypatch.setattr("otdetect.cli.run_sweep", not_called)
+        code, _, err = run_cli(
+            capsys, "sweep", "--param", "D", "--grid", "0:2:1", "--metrics", "dc", "--workers", "0"
+        )
+        assert code == 2
+        assert "--workers" in err
+        code, _, err = run_cli(capsys, "preset", "fig2", "--workers", "0")
+        assert code == 2
+        assert "--workers" in err
 
     def test_unwritable_out_fails_before_computing(self, capsys, tmp_path, monkeypatch):
         def not_called(*args, **kwargs):
@@ -242,7 +274,6 @@ def test_benchmark_tracer_targets_exist():
     spans = importlib.util.module_from_spec(loader_spec)
     loader_spec.loader.exec_module(spans)
     targets = [spans.ROOT] + [f"{m}.{n}" for m, names, _ in spans.WRAPPED for n in names]
-    assert len(targets) == 14
     for target in targets:
         module_name, name = target.split(".")
         module = importlib.import_module(f"otdetect.{module_name}")

@@ -245,11 +245,23 @@ class TestModelConfigValidation:
             dict(n_sensors=3, signal=1.0, noise_var=math.inf),
             dict(n_sensors=3, signal=1.0, attack_strength=math.inf),
             dict(n_sensors=3, signal=1.0, attack_strength=math.nan),
+            # Finite inputs whose LLR moments overflow.
+            dict(n_sensors=3, signal=3.0, attack_strength=1e308),
+            dict(n_sensors=3, signal=3.0, attack_strength=1e200),
+            dict(n_sensors=3, signal=3.0, byz_frac=0.3, attack_strength=1e200),
+            dict(n_sensors=3, signal=3.0, attack_strength=1e154),
+            dict(n_sensors=3, signal=1e200),
+            dict(n_sensors=3, signal=1e160),
+            dict(n_sensors=3, signal=3.0, noise_var=1e-320),
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ModelConfig(**kwargs)
+
+    def test_accepts_large_finite_moments(self):
+        cfg = ModelConfig(n_sensors=3, signal=3.0, byz_frac=0.3, attack_strength=1e150)
+        assert math.isfinite(population_moments(cfg).var_h0)
 
     def test_threshold_equal_priors(self):
         assert ModelConfig(n_sensors=2, signal=1.0).threshold == 0.0
