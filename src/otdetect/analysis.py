@@ -31,7 +31,7 @@ from .core import (
     population_moments,
     q_function,
 )
-from .protocol import RngSpec
+from .protocol import RngSpec, _StreamSampler
 
 __all__ = [
     "ErrorProbabilities",
@@ -136,7 +136,7 @@ def expected_transmissions(
     F(|L|_(k-1))^(N-k+1) that the N-k+1 remaining sensors all have smaller
     magnitude, times the C(N, k-1) ways to pick the leading set.
 
-    Fresh counter-based substreams per (hypothesis, k) make every term an
+    Separate counter-based substreams per (hypothesis, k) make every term an
     independent mean of i.i.d. weights, so standard errors combine in
     quadrature.
     """
@@ -144,21 +144,27 @@ def expected_transmissions(
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
     n = config.n_sensors
     lam = config.threshold
+    sampler = _StreamSampler(seed)
     surv = np.ones((2, n))
     surv_se = np.zeros((2, n))
     for h in (Hypothesis.H0, Hypothesis.H1):
         mix = llr_mixture(config, h)
         for k in range(2, n + 1):
-            gen = RngSpec(seed, int(h) * (n + 1) + k).generator()
+            gen = sampler.at(int(h) * (n + 1) + k)
             draws = mix.sample(gen, n_samples * (k - 1)).reshape(n_samples, k - 1)
             row_sum = draws.sum(axis=1)
-            min_mag = np.abs(draws).min(axis=1)
+            # A minimum is exact in any order, and a sweep over the k - 1
+            # columns beats numpy's reduction along short rows several-fold.
+            mags = np.abs(draws)
+            min_mag = mags[:, 0].copy()
+            for col in mags.T[1:]:
+                np.minimum(min_mag, col, out=min_mag)
             envelope = (n - k + 1) * min_mag
             inside = (row_sum <= lam + envelope) & (row_sum >= lam - envelope)
-            weights = (
-                math.comb(n, k - 1)
-                * abs_llr_cdf(mix, min_mag) ** (n - k + 1)
-                * inside
+            # Rows outside the envelope weigh exactly 0: skip their CDF.
+            weights = np.zeros(n_samples)
+            weights[inside] = math.comb(n, k - 1) * abs_llr_cdf(mix, min_mag[inside]) ** (
+                n - k + 1
             )
             surv[h, k - 1] = weights.mean()
             surv_se[h, k - 1] = weights.std(ddof=1) / math.sqrt(n_samples)

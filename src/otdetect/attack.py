@@ -12,6 +12,7 @@ D = s / (2 * alpha0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,14 +59,24 @@ def deflection_coefficient(config: ModelConfig) -> AttackAssessment:
     The LLRs are i.i.d. mixtures, so E[Z|h] = N * mean_h and
     Var(Z|H0) = N * var_h0 with the per-sensor moments from
     :func:`otdetect.core.population_moments` (the full mixture variance,
-    including the between-component spread).
+    including the between-component spread).  Raises ``ValueError`` when
+    the N-scaled moments or the dc overflow the float range, which
+    ``ModelConfig``'s per-sensor check cannot foresee.
     """
     n = config.n_sensors
     mom = population_moments(config)
     mean_h1 = n * mom.mean_h1
     mean_h0 = n * mom.mean_h0
     var_h0 = n * mom.var_h0
-    dc = (mean_h1 - mean_h0) ** 2 / var_h0
+    try:
+        dc = (mean_h1 - mean_h0) ** 2 / var_h0
+    except OverflowError:
+        dc = math.inf
+    if not all(map(math.isfinite, (dc, mean_h1, mean_h0, var_h0))):
+        raise ValueError(
+            f"deflection coefficient overflows at N = {n}: the N-scaled LLR moments "
+            "or their squared separation are not finite"
+        )
     d_star = (
         config.signal / (2.0 * config.byz_frac) if config.byz_frac > 0.0 else float("inf")
     )

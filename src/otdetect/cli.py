@@ -6,6 +6,7 @@ Exit codes: 0 on success, 2 for an invalid specification, 3 for I/O errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -286,9 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs far more than parsing with it; build it once.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SpecError, ValueError, OverflowError) as exc:

@@ -115,22 +115,29 @@ class BatchSummary:
 class _StreamSampler:
     """One reusable Philox generator, repositioned per stream.
 
-    Resetting the counter is ~4x cheaper than constructing a fresh
+    Resetting the counter is much cheaper than constructing a fresh
     generator and yields bit-identical output to
-    ``RngSpec(seed, stream).generator()``.
+    ``RngSpec(seed, stream).generator()``.  The state dict holds Python
+    lists, not arrays: the Philox state setter reads them one element at a
+    time, and indexing a list is cheaper than indexing an array.
     """
 
     def __init__(self, seed: int) -> None:
+        if not 0 <= seed < _U64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self._bitgen = np.random.Philox(key=seed)
         self.generator = np.random.Generator(self._bitgen)
         self._state = self._bitgen.state
-        self._state["buffer"] = np.zeros(4, dtype=np.uint64)
-        self._counter = np.zeros(4, dtype=np.uint64)
+        self._state["state"]["key"] = self._state["state"]["key"].tolist()
+        # A fresh state has an empty output buffer (buffer_pos 4, no spare
+        # 32-bit half); nothing writes to this dict, so every reposition
+        # discards whatever the previous stream left buffered.
+        self._state["buffer"] = [0] * 4
+        self._counter = [0] * 4
         self._state["state"]["counter"] = self._counter
 
     def at(self, stream: int) -> np.random.Generator:
         self._counter[3] = stream
-        self._state["buffer_pos"] = 4
         self._bitgen.state = self._state
         return self.generator
 
@@ -229,20 +236,45 @@ def _simulate(
     y = math.sqrt(config.noise_var) * normals + np.where(h1, s, 0.0)[:, None]
     if config.byz_frac > 0.0:
         shift = np.where(h1, -config.attack_strength, config.attack_strength)[:, None]
-        y = np.where(byz, y + shift, y)
-    llrs = (2.0 * y * s - s * s) / (2.0 * config.noise_var)
-    # Transmission order is a stable sort on -|L|: magnitude ties go to the
-    # lower sensor index.  A row without ties has one order under any sort,
-    # so the faster default sort runs first and only tied rows are re-sorted.
-    key = -np.abs(llrs)
-    order = np.argsort(key, axis=1)
-    sorted_key = np.take_along_axis(key, order, axis=1)
-    tied = (sorted_key[:, 1:] == sorted_key[:, :-1]).any(axis=1)
-    if tied.any():
-        order[tied] = np.argsort(key[tied], axis=1, kind="stable")
-    ordered = np.take_along_axis(llrs, order, axis=1)
-    stop_k, decide_h1, full_sum = _stop_scan(ordered, np.abs(ordered), config.threshold)
+        np.add(y, shift, out=y, where=byz)
+    # The LLR (2 y s - s^2) / (2 sigma^2), in place and in that operation order.
+    y *= 2.0
+    y *= s
+    y -= s * s
+    y /= 2.0 * config.noise_var
+    ordered, mags = _magnitude_order(y)
+    stop_k, decide_h1, full_sum = _stop_scan(ordered, mags, config.threshold)
     return ordered, byz, stop_k, decide_h1, full_sum
+
+
+def _magnitude_order(llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``llrs`` in transmission order, and the magnitudes of that order.
+
+    Transmission order is a stable sort on -|L|: magnitude ties go to the
+    lower sensor index.  Rotating a float's bits left by one puts the
+    magnitude bits above the sign bit, and for non-negative floats the
+    magnitude bits order like the magnitudes; so an ascending sort of the
+    complemented rotation sorts by descending |L|, and rotating back gives
+    the LLRs.  Equal bit patterns are interchangeable, so the only ties
+    this order can get wrong are x against -x (0.0 against -0.0 included):
+    adjacent keys that differ in the sign bit alone.  Rows holding such a
+    pair are re-sorted with the stable argsort.
+    """
+    bits = llrs.view(np.uint64)
+    key = bits << 1
+    key |= bits >> 63
+    np.invert(key, out=key)
+    key.sort(axis=1)
+    tied = ((key[:, 1:] ^ key[:, :-1]) == 1).any(axis=1)
+    np.invert(key, out=key)
+    mags = key >> 1
+    key <<= 63
+    key |= mags
+    ordered = key.view(np.float64)
+    if tied.any():
+        order = np.argsort(-np.abs(llrs[tied]), axis=1, kind="stable")
+        ordered[tied] = np.take_along_axis(llrs[tied], order, axis=1)
+    return ordered, mags.view(np.float64)
 
 
 def draw_trial(config: ModelConfig, truth: Hypothesis, rng: RngSpec) -> TrialRecord:
@@ -292,8 +324,7 @@ def run_batch(config: ModelConfig, n_trials: int, seed: int) -> BatchSummary:
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if not 0 <= seed < _U64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    sampler = _StreamSampler(seed)
     # Truth labels live in the upper half of the counter space, clear of
     # per-trial streams (which sit at stream << 192 for stream < 2^63).
     truth_gen = np.random.Generator(np.random.Philox(key=seed, counter=1 << 255))
@@ -302,7 +333,6 @@ def run_batch(config: ModelConfig, n_trials: int, seed: int) -> BatchSummary:
     errors = 0
     sum_k = 0
     sum_k_sq = 0
-    sampler = _StreamSampler(seed)
     rows = min(n_trials, max(1, _BLOCK_ELEMENTS // n))
     uniforms = np.empty((rows, n))
     normals = np.empty((rows, n))

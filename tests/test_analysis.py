@@ -16,6 +16,8 @@ from scipy.integrate import quad
 from otdetect import (
     Hypothesis,
     ModelConfig,
+    RngSpec,
+    abs_llr_cdf,
     abs_llr_pdf,
     abs_order_stat_cdf,
     abs_order_stat_pdf,
@@ -226,6 +228,52 @@ class TestExpectedTransmissions:
         b = expected_transmissions(cfg, 2000, seed=6)
         assert a.total == b.total
         np.testing.assert_array_equal(a.survival_h1, b.survival_h1)
+
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    @pytest.mark.parametrize("alpha0", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("prior_h1", [0.3, 0.5])
+    def test_bit_identical_to_unmasked_fresh_stream_loop(self, n, alpha0, prior_h1):
+        # The program repositions one Philox stream per (h, k) and evaluates
+        # the CDF only on rows inside the envelope; the plain loop below
+        # builds a fresh generator per (h, k) and weights every row.
+        cfg = ModelConfig(
+            n_sensors=n, signal=3.0, byz_frac=alpha0, attack_strength=4.0, prior_h1=prior_h1
+        )
+        est = expected_transmissions(cfg, 1000, seed=n + 7)
+        total, total_se, surv, surv_se = unmasked_expected_transmissions(cfg, 1000, n + 7)
+        assert est.total.value == total
+        assert est.total.se == total_se
+        for got, want in (
+            (est.survival_h0, surv[0]),
+            (est.survival_h1, surv[1]),
+            (est.survival_h0_se, surv_se[0]),
+            (est.survival_h1_se, surv_se[1]),
+        ):
+            assert np.array_equal(got, want)
+
+
+def unmasked_expected_transmissions(cfg: ModelConfig, n_samples: int, seed: int):
+    """Reference E[k*] loop: a fresh RngSpec generator per (h, k), CDF on every row."""
+    n = cfg.n_sensors
+    lam = cfg.threshold
+    surv = np.ones((2, n))
+    surv_se = np.zeros((2, n))
+    for h in (Hypothesis.H0, Hypothesis.H1):
+        mix = llr_mixture(cfg, h)
+        for k in range(2, n + 1):
+            gen = RngSpec(seed, int(h) * (n + 1) + k).generator()
+            draws = mix.sample(gen, n_samples * (k - 1)).reshape(n_samples, k - 1)
+            row_sum = draws.sum(axis=1)
+            min_mag = np.abs(draws).min(axis=1)
+            envelope = (n - k + 1) * min_mag
+            inside = (row_sum <= lam + envelope) & (row_sum >= lam - envelope)
+            weights = math.comb(n, k - 1) * abs_llr_cdf(mix, min_mag) ** (n - k + 1) * inside
+            surv[h, k - 1] = weights.mean()
+            surv_se[h, k - 1] = weights.std(ddof=1) / math.sqrt(n_samples)
+    pi0, pi1 = cfg.prior_h0, cfg.prior_h1
+    total = float(np.sum(pi0 * surv[0] + pi1 * surv[1]))
+    total_se = float(np.sqrt(np.sum((pi0 * surv_se[0]) ** 2 + (pi1 * surv_se[1]) ** 2)))
+    return total, total_se, surv, surv_se
 
 
 class TestAbsOrderStatPdf:

@@ -58,6 +58,14 @@ class TestDeflectionCoefficient:
         se_dc = np.sqrt((grad_mean * sd1) ** 2 + (grad_mean * sd0) ** 2 + (dc_hat / v0 * se_v0) ** 2)
         assert a.dc == pytest.approx(dc_hat, abs=4 * se_dc)
 
+    def test_n_scaled_overflow_raises_value_error(self):
+        # Per-sensor moments are finite (ModelConfig accepts the config), but
+        # N times the mean separation, squared, is not.
+        cfg = ModelConfig(n_sensors=1000, signal=3.0, byz_frac=0.3, attack_strength=1e150)
+        assert np.isfinite(deflection_coefficient(cfg).dc)
+        with pytest.raises(ValueError, match="N-scaled"):
+            deflection_coefficient(cfg.replace(n_sensors=1_000_000))
+
     def test_dc_zero_at_d_star_random_configs(self, rng):
         for _ in range(20):
             cfg = random_config(rng, byz_frac=float(rng.uniform(0.05, 1.0)))

@@ -66,6 +66,18 @@ class TestSingleConfigCommands:
             assert "finite" in err
             assert "nan" not in out
 
+    def test_dc_n_scaled_overflow_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "dc", "--D", "1e150", "--alpha0", "0.3", "--N", "1000000")
+        assert code == 2
+        assert "N-scaled" in err
+        assert out == ""
+        code, _, err = run_cli(
+            capsys, "sweep", "--param", "N", "--grid", "10,1000000", "--metrics", "dc",
+            "--D", "1e150", "--alpha0", "0.3",
+        )
+        assert code == 2
+        assert "N-scaled" in err
+
     def test_bounds_empirical_mode(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--N", "10", "--s", "3", "--mode", "empirical", "--trials", "2000"
@@ -245,11 +257,52 @@ class TestPresetCommand:
             main(["preset", "fig9"])  # argparse rejects the choice
 
 
+def subprocess_env() -> dict:
+    """Environment for a fresh interpreter that imports this otdetect."""
+    src = str(Path(otdetect.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_parser_reuse_matches_fresh_processes(capsys, tmp_path, monkeypatch):
+    # main() builds its parser once per process; flags of one call must not
+    # leak into the next.  Each call alone, in a fresh interpreter, is the
+    # reference for stdout and for every file written.
+    calls = [
+        ["preset", "fig1a", "--paper-scale", "--trials", "20", "--seed", "2", "--workers", "3",
+         "--out", "paper"],
+        ["sweep", "--param", "D", "--grid", "0:4:2", "--metrics", "pe_analytic,pe_empirical,dc",
+         "--alpha0", "0.3", "--trials", "200", "--out", "sweep.csv"],
+        ["preset", "fig1a", "--trials", "20", "--out", "desk"],
+    ]
+    (tmp_path / "alone").mkdir()
+    alone = [
+        subprocess.run(
+            [sys.executable, "-m", "otdetect.cli", *argv],
+            capture_output=True,
+            text=True,
+            check=True,
+            cwd=tmp_path / "alone",
+            env=subprocess_env(),
+        ).stdout
+        for argv in calls
+    ]
+    (tmp_path / "reused").mkdir()
+    monkeypatch.chdir(tmp_path / "reused")
+    for argv, want in zip(calls, alone):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == want
+    names = sorted(p.name for p in (tmp_path / "alone").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "reused").iterdir())
+    assert len(names) == 10  # 2 + 1 + 2 CSVs, each with its sidecar
+    for name in names:
+        assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
 def test_cli_import_skips_slow_scipy_subpackages():
     # scipy.stats alone takes about 0.9 s to import, all of it start-up cost
     # of every CLI call; the package needs only numpy and scipy.special.
-    src = str(Path(otdetect.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     probe = (
         "import otdetect.cli, sys; "
         "print(' '.join(m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
@@ -260,7 +313,7 @@ def test_cli_import_skips_slow_scipy_subpackages():
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=subprocess_env(),
     )
     assert proc.stdout.strip() == ""
 

@@ -13,7 +13,7 @@ from otdetect import (
     run_batch,
     stopping_rule,
 )
-from otdetect.protocol import _simulate, _StreamSampler, _stop_scan
+from otdetect.protocol import _magnitude_order, _simulate, _StreamSampler, _stop_scan
 from conftest import random_config
 
 
@@ -276,8 +276,8 @@ class TestStopKernel:
         # With s = 2, sigma^2 = 1 and no attack under H0, L = 2z - 2, so
         # z = (k + 2)/2 gives the integer LLR k: many magnitude ties of both
         # signs, in a block mixing tied rows with untied ones.  The order
-        # must be Python's stable sort on -|L|, and each row's stop must be
-        # the stopping rule's on that order.
+        # must be Python's stable sort on -|L|, bit for bit, and each row's
+        # stop must be the stopping rule's on that order.
         n = 40
         cfg = ModelConfig(n_sensors=n, signal=2.0)
         ints = rng.integers(-6, 7, size=(6, n)).astype(float)
@@ -286,23 +286,85 @@ class TestStopKernel:
         h1 = np.zeros(len(normals), dtype=bool)
         ordered, _, stop_k, decide_h1, _ = _simulate(cfg, h1, uniforms, normals)
         for r, z in enumerate(normals):
-            llrs = 2.0 * z - 2.0
-            want = llrs[sorted(range(n), key=lambda i: -abs(llrs[i]))]
-            np.testing.assert_array_equal(ordered[r], want)
+            want = stable_magnitude_order(2.0 * z - 2.0)
+            assert_same_bits(ordered[r], want)
             got = (int(stop_k[r]), Hypothesis(int(decide_h1[r])))
             assert got == stopping_rule(want, cfg.threshold)
+
+    def test_magnitude_order_bit_for_bit(self, rng):
+        # The packed-key sort against the stable sort on -|L|, on rows of
+        # signed zeros, (x, -x) ties, same-sign ties, subnormals and the
+        # largest floats, and on rows of one and two sensors; compared as
+        # bit patterns, since -0.0 == 0.0.
+        tiny, big = 5e-324, 1.7976931348623157e308
+        rows = [
+            [0.0, -0.0, 1.0, -1.0, 0.0, -0.0],
+            [-0.0, 0.0, -0.0, 0.0, 2.0, 2.0],
+            [2.5, 2.5, -2.5, 1.0, -2.5, 2.5],
+            [-3.0, -3.0, 3.0, 3.0, 0.0, -3.0],
+            [tiny, -tiny, 0.0, -big, big, -0.0],
+            [4.0, -1.0, 3.0, -2.0, 0.5, -0.25],
+        ]
+        values = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, tiny, -tiny, 7.0])
+        blocks = [np.vstack([rows, rng.choice(values, size=(500, 6))])]
+        blocks += [rng.choice(values, size=(100, n)) for n in (1, 2)]
+        for block in blocks:
+            ordered, mags = _magnitude_order(block.copy())
+            for r, row in enumerate(block):
+                want = stable_magnitude_order(row)
+                assert_same_bits(ordered[r], want)
+                assert_same_bits(mags[r], np.abs(want))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_draw_trial_short_rows_bit_for_bit(self, n):
+        # Replay each stream by hand: N uniforms, then N normals.
+        cfg = ModelConfig(n_sensors=n, signal=3.0, byz_frac=0.5, attack_strength=4.0)
+        for stream in range(20):
+            truth = Hypothesis(stream % 2)
+            rec = draw_trial(cfg, truth, RngSpec(17, stream))
+            gen = RngSpec(17, stream).generator()
+            byz = gen.random(n) < cfg.byz_frac
+            y = gen.standard_normal(n) + (cfg.signal if truth else 0.0)
+            y = np.where(byz, y + (-4.0 if truth else 4.0), y)
+            llrs = (2.0 * y * cfg.signal - cfg.signal**2) / 2.0
+            assert_same_bits(rec.llrs_ordered, stable_magnitude_order(llrs))
+            assert np.array_equal(rec.byz_mask, byz)
+
+
+def stable_magnitude_order(llrs: np.ndarray) -> np.ndarray:
+    """Transmission order by Python's stable sort on -|L| (ties: lower index first)."""
+    return llrs[sorted(range(len(llrs)), key=lambda i: -abs(llrs[i]))]
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestStreamSampler:
     def test_at_matches_fresh_generator(self):
         # Repositioning one Philox state must give exactly the stream a
-        # fresh RngSpec generator gives, in any visiting order.
+        # fresh RngSpec generator gives, in any visiting order, and whatever
+        # the previous stream left in Philox's output buffer.
         sampler = _StreamSampler(123)
-        for stream, n in ((7, 5), (0, 9), (2**62, 3), (1, 10), (2**40, 6), (7, 5)):
+        streams = ((7, 5), (0, 9), (2**62, 3), (1, 10), (2**40, 6), (7, 5))
+        for stream, n in streams + ((2**63, 4), (2**64 - 1, 7)):
             gen = sampler.at(stream)
             ref = RngSpec(123, stream).generator()
             assert np.array_equal(gen.random(n), ref.random(n))
             assert np.array_equal(gen.standard_normal(n), ref.standard_normal(n))
+        partial_draws = (
+            lambda g: g.random(1),  # one of the four words of a Philox block
+            lambda g: g.random(3),
+            lambda g: g.random(dtype=np.float32),  # leaves a spare 32-bit half
+        )
+        for partial_draw in partial_draws:
+            partial_draw(sampler.at(11))
+            gen = sampler.at(2**64 - 1)
+            ref = RngSpec(123, 2**64 - 1).generator()
+            assert np.array_equal(gen.random(6), ref.random(6))
+            assert np.array_equal(gen.standard_normal(5), ref.standard_normal(5))
+            assert gen.random(dtype=np.float32) == ref.random(dtype=np.float32)
 
 
 class TestRngSpec:
