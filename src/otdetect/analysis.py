@@ -1,15 +1,16 @@
 """Closed-form and semi-analytic performance of the OT fusion rule.
 
-Four independent routes to the system's behaviour, each cross-checkable
-against the trial simulator in :mod:`otdetect.protocol`:
+Three routes to the system's behaviour that are independent of the trial
+simulator in :mod:`otdetect.protocol`, and so cross-checkable against it:
 
 * exact detection/false-alarm/error probabilities of the full-sum test
   (a binomial mixture of Gaussian tails over the compromised-sensor count);
-* a Monte-Carlo evaluation of the exact order-statistic expression for the
-  expected number of transmissions;
 * the density of the k-th largest LLR magnitude, and its CDF by the
   binomial identity;
 * Cauchy-Schwarz upper/lower bounds on the expected transmissions saved.
+
+:func:`expected_transmissions` is not one of them: it runs each hypothesis
+through the simulator's own stopping kernel.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .core import (
     population_moments,
     q_function,
 )
-from .protocol import RngSpec, _StreamSampler
+from .protocol import _BLOCK_ELEMENTS, RngSpec, _mean_with_se, _simulate
 
 __all__ = [
     "ErrorProbabilities",
@@ -63,8 +64,9 @@ class ErrorProbabilities:
 class ExpectedTransmissions:
     """Expected transmissions until the fusion center can stop.
 
-    ``survival_h0[k-1]`` estimates P(stop time >= k | H0) (likewise H1);
-    ``total`` is the prior-weighted sum over k of those survival terms.
+    ``survival_h0[k-1]`` estimates P(stop time >= k | H0) (likewise H1) from
+    ``n_samples`` trials per hypothesis; ``total`` is the prior-weighted
+    mean stop time, the prior-weighted sum over k of those survival terms.
     """
 
     total: EstimateWithError
@@ -127,50 +129,46 @@ def analytic_error_probs(config: ModelConfig) -> ErrorProbabilities:
 def expected_transmissions(
     config: ModelConfig, n_samples: int = 100_000, seed: int = 0
 ) -> ExpectedTransmissions:
-    """Monte-Carlo evaluation of the expected stop time E[k*].
+    """Monte-Carlo estimate of the expected stop time E[k*].
 
-    E[k*] = sum_k [pi1 P(k* >= k|H1) + pi0 P(k* >= k|H0)], and the survival
-    probability at k equals an expectation over k-1 i.i.d. LLRs: the
-    indicator that their sum is still bracketed by the threshold envelope
-    lam -/+ (N-k+1) * (smallest magnitude), times the chance
-    F(|L|_(k-1))^(N-k+1) that the N-k+1 remaining sensors all have smaller
-    magnitude, times the C(N, k-1) ways to pick the leading set.
+    Runs ``n_samples`` trials under each hypothesis through the stopping
+    kernel that :func:`~otdetect.protocol.run_batch` uses, and counts stop
+    times: ``survival_h[k-1]`` is the fraction of H-trials with k* >= k
+    (binomial SE) and ``total`` is pi0 mean(k*|H0) + pi1 mean(k*|H1), with
+    its SE from the stop-time variances.
 
-    Separate counter-based substreams per (hypothesis, k) make every term an
-    independent mean of i.i.d. weights, so standard errors combine in
-    quadrature.
+    Hypothesis h draws from the single stream ``RngSpec(seed, 2^63 + 1 + h)``,
+    in blocks of max(1, 16384 // N) rows: a block's uniforms (compromise
+    masks), then its normals (noise).  ``run_batch`` uses streams below 2^63 and the stream
+    at 2^63 for its truth labels, so the two estimates at one seed are
+    independent.
     """
     if n_samples < 1000:
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
     n = config.n_sensors
-    lam = config.threshold
-    sampler = _StreamSampler(seed)
-    surv = np.ones((2, n))
-    surv_se = np.zeros((2, n))
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    ks = np.arange(n + 1)
+    surv = np.empty((2, n))
+    means = np.empty(2)
+    mean_ses = np.empty(2)
     for h in (Hypothesis.H0, Hypothesis.H1):
-        mix = llr_mixture(config, h)
-        for k in range(2, n + 1):
-            gen = sampler.at(int(h) * (n + 1) + k)
-            draws = mix.sample(gen, n_samples * (k - 1)).reshape(n_samples, k - 1)
-            row_sum = draws.sum(axis=1)
-            # A minimum is exact in any order, and a sweep over the k - 1
-            # columns beats numpy's reduction along short rows several-fold.
-            mags = np.abs(draws)
-            min_mag = mags[:, 0].copy()
-            for col in mags.T[1:]:
-                np.minimum(min_mag, col, out=min_mag)
-            envelope = (n - k + 1) * min_mag
-            inside = (row_sum <= lam + envelope) & (row_sum >= lam - envelope)
-            # Rows outside the envelope weigh exactly 0: skip their CDF.
-            weights = np.zeros(n_samples)
-            weights[inside] = math.comb(n, k - 1) * abs_llr_cdf(mix, min_mag[inside]) ** (
-                n - k + 1
-            )
-            surv[h, k - 1] = weights.mean()
-            surv_se[h, k - 1] = weights.std(ddof=1) / math.sqrt(n_samples)
-    pi0, pi1 = config.prior_h0, config.prior_h1
-    total = float(np.sum(pi0 * surv[0] + pi1 * surv[1]))
-    total_se = float(np.sqrt(np.sum((pi0 * surv_se[0]) ** 2 + (pi1 * surv_se[1]) ** 2)))
+        gen = RngSpec(seed, (1 << 63) + 1 + int(h)).generator()
+        counts = np.zeros(n + 1, dtype=np.int64)
+        for start in range(0, n_samples, rows):
+            m = min(rows, n_samples - start)
+            uniforms = gen.random((m, n))
+            normals = gen.standard_normal((m, n))
+            stop_k = _simulate(config, np.full(m, bool(h)), uniforms, normals)[2]
+            counts += np.bincount(stop_k, minlength=n + 1)
+        # counts[k:].sum() trials stopped at k or later.
+        surv[h] = np.cumsum(counts[::-1])[::-1][1:] / n_samples
+        means[h], mean_ses[h] = _mean_with_se(
+            float(counts @ ks), float(counts @ (ks * ks)), n_samples
+        )
+    surv_se = np.sqrt(surv * (1.0 - surv) / n_samples)
+    priors = np.array([config.prior_h0, config.prior_h1])
+    total = float(priors @ means)
+    total_se = math.sqrt(float(np.sum((priors * mean_ses) ** 2)))
     return ExpectedTransmissions(
         total=EstimateWithError(total, total_se, n_samples),
         survival_h0=surv[0],

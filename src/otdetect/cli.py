@@ -84,11 +84,11 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _settings(args: argparse.Namespace) -> dict:
-    values = dict(_DEFAULTS)
+def _settings(args: argparse.Namespace, defaults: dict = _DEFAULTS) -> dict:
+    values = dict(defaults)
     if args.config:
         values.update(_read_config_file(args.config))
-    for key in _DEFAULTS:
+    for key in defaults:
         cli_val = getattr(args, key, None)
         if cli_val is not None:
             values[key] = cli_val
@@ -232,10 +232,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_preset(args: argparse.Namespace) -> int:
-    values = _settings(args)
-    trials = args.trials if args.trials is not None else None
+    # Unless the CLI or the config file sets trials, the preset's own default applies.
+    values = _settings(args, {**_DEFAULTS, "trials": None})
     pairs = preset_specs(
-        args.name, paper_scale=args.paper_scale, n_trials=trials, seed=values["seed"]
+        args.name, paper_scale=args.paper_scale, n_trials=values["trials"], seed=values["seed"]
     )
     stem = Path(args.out) if args.out else Path(args.name)
     out_paths = [stem.with_name(f"{stem.name}_{label}.csv") for label, _ in pairs]

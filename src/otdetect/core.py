@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -52,7 +53,7 @@ class ModelConfig:
     """All scalar parameters of the detection problem.
 
     Attributes:
-        n_sensors: number of sensors N (>= 1).
+        n_sensors: number of sensors N (an integer >= 1; not a float or bool).
         signal: signal strength s (finite, > 0), in observation units.
         noise_var: noise variance sigma^2 (finite, > 0).
         byz_frac: probability alpha0 in [0, 1] that a sensor is compromised.
@@ -69,8 +70,15 @@ class ModelConfig:
     prior_h1: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.n_sensors < 1 or int(self.n_sensors) != self.n_sensors:
+        # bool is an Integral too, but True is not a sensor count.
+        if (
+            not isinstance(self.n_sensors, numbers.Integral)
+            or isinstance(self.n_sensors, bool)
+            or self.n_sensors < 1
+        ):
             raise ValueError(f"n_sensors must be a positive integer, got {self.n_sensors}")
+        # A numpy integer is stored as int, so the config serialises to JSON.
+        object.__setattr__(self, "n_sensors", int(self.n_sensors))
         if not 0 < self.signal < math.inf:
             raise ValueError(f"signal must be finite and > 0, got {self.signal}")
         if not 0 < self.noise_var < math.inf:

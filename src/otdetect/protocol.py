@@ -31,8 +31,8 @@ __all__ = [
 ]
 
 _U64 = 1 << 64
-# run_batch works on blocks of about this many variates per array, so
-# its working set stays near a megabyte whatever N is.
+# run_batch and analysis.expected_transmissions work on blocks of about this
+# many variates per array, so their working set stays near a megabyte.
 _BLOCK_ELEMENTS = 16384
 
 StopAction = Literal["decide_H0", "decide_H1", "continue"]

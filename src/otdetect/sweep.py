@@ -57,11 +57,6 @@ METRICS = (
 )
 # Metrics estimated by Monte Carlo; each gets a companion "<name>_se" column.
 MC_METRICS = frozenset({"pe_empirical", "ns_empirical", "nt_analytic"})
-# Largest N at which the nt_analytic estimator is validated against simulation
-# (within 3 SE at s = 3, alpha0 in {0.3, 0.5}, D from 0 to 12).  Beyond it the
-# estimator's weights are so heavy-tailed that its SE hides a bias: at N = 30
-# it is already off by 3.6 SE.
-NT_ANALYTIC_MAX_N = 20
 
 
 class SpecError(ValueError):
@@ -75,8 +70,7 @@ class SweepSpec:
     ``grid`` must be nonempty and strictly increasing; ``metrics`` must be a
     nonempty subset of :data:`METRICS`.  ``n_trials`` is the Monte-Carlo
     budget per grid point (also used as the sample budget of the
-    nt_analytic estimator, floored at its minimum of 1000).  nt_analytic
-    is refused when any grid point has N above :data:`NT_ANALYTIC_MAX_N`.
+    nt_analytic estimator, floored at its minimum of 1000).
     """
 
     base: ModelConfig
@@ -105,12 +99,8 @@ class SweepSpec:
         ):
             raise SpecError("an N grid must contain positive integers")
         # Every grid point must form a valid config.
-        largest_n = max(self.config_at(value).n_sensors for value in self.grid)
-        if "nt_analytic" in self.metrics and largest_n > NT_ANALYTIC_MAX_N:
-            raise SpecError(
-                f"nt_analytic is validated only for N <= {NT_ANALYTIC_MAX_N}; "
-                f"this grid reaches N = {largest_n}"
-            )
+        for value in self.grid:
+            self.config_at(value)
 
     def config_at(self, value: float) -> ModelConfig:
         """The model config at one grid value of the swept parameter."""

@@ -132,9 +132,41 @@ def test_criterion_04_expected_transmissions_consistency():
     ok = worst_z <= 3.0 and elapsed < 300
     report(
         4,
-        "order-statistic estimate of E[k*] matches simulation within 3 SE",
+        "per-hypothesis E[k*] estimate matches run_batch within 3 SE",
         ok,
         f"worst z = {worst_z:.2f}, {elapsed:.1f}s",
+    )
+
+
+def test_criterion_04_expected_transmissions_at_large_n():
+    # The same estimate on long rows, against run_batch and, at N = 300,
+    # against the analytic savings bounds.
+    t0 = time.time()
+    worst_z = 0.0
+    outside = []
+    for n in (30, 100, 300):
+        for d in (0.0, 5.0, 8.0):
+            cfg = ModelConfig(
+                n_sensors=n, signal=3.0, noise_var=1.0, byz_frac=0.3, attack_strength=d
+            )
+            est = expected_transmissions(cfg, 20_000, seed=43)
+            batch = run_batch(cfg, 20_000, seed=44)
+            combined = math.hypot(est.total.se, batch.mean_stop_k.se)
+            worst_z = max(worst_z, abs(est.total.value - batch.mean_stop_k.value) / combined)
+            if n == 300:
+                rep = transmission_savings_bounds(cfg)
+                saved = n - est.total.value
+                slack = 3 * est.total.se
+                if not rep.lb_saved - slack <= saved <= rep.ub_saved + slack:
+                    outside.append((d, rep.lb_saved, saved, rep.ub_saved))
+    elapsed = time.time() - t0
+    ok = worst_z <= 3.0 and not outside and elapsed < 300
+    report(
+        4,
+        "E[k*] estimate matches run_batch within 3 SE at N in {30, 100, 300}, "
+        "and its savings lie within the N = 300 bounds",
+        ok,
+        f"worst z = {worst_z:.2f}, outside bounds: {outside}, {elapsed:.1f}s",
     )
 
 

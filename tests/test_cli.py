@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import otdetect
+from otdetect import SpecError, load_csv, preset_specs
 from otdetect.cli import main
 
 
@@ -128,13 +130,19 @@ class TestSweepCommand:
         )
         assert code == 2
 
-    def test_nt_analytic_above_validated_n_exits_2(self, capsys):
-        code, _, err = run_cli(
+    def test_nt_analytic_at_large_n(self, capsys, tmp_path):
+        out_csv = tmp_path / "nt.csv"
+        code, _, _ = run_cli(
             capsys, "sweep", "--param", "D", "--grid", "0:4:2", "--metrics", "nt_analytic",
-            "--N", "300",
+            "--N", "300", "--alpha0", "0.3", "--trials", "1000", "--out", str(out_csv),
         )
-        assert code == 2
-        assert "nt_analytic" in err
+        assert code == 0
+        result = load_csv(out_csv)
+        assert len(result.rows) == 3
+        for name in ("nt_analytic", "nt_analytic_se"):
+            assert all(math.isfinite(v) for v in result.column(name))
+        assert all(1.0 <= v <= 300.0 for v in result.column("nt_analytic"))
+        assert all(v > 0.0 for v in result.column("nt_analytic_se"))
 
     def test_invalid_model_value_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -219,6 +227,41 @@ class TestConfigFile:
 
 
 class TestPresetCommand:
+    def test_config_file_trials(self, capsys, tmp_path):
+        # CLI > config file > the preset's own default, as for every other setting.
+        cfg = tmp_path / "trials.cfg"
+        cfg.write_text("trials = 50\n")
+        runs = {
+            "file": ("--config", str(cfg)),
+            "cli": ("--trials", "50"),
+            "both": ("--config", str(cfg), "--trials", "60"),
+            "cli60": ("--trials", "60"),
+        }
+        for name, flags in runs.items():
+            code, _, _ = run_cli(capsys, "preset", "fig1a", *flags, "--out", str(tmp_path / name))
+            assert code == 0
+        for suffix in ("_s0.5.csv", "_s4.csv", "_s0.5.csv.meta.json", "_s4.csv.meta.json"):
+            files = {name: (tmp_path / (name + suffix)).read_bytes() for name in runs}
+            assert files["file"] == files["cli"]
+            assert files["both"] == files["cli60"]
+        assert files["file"] != files["both"]
+
+    def test_default_trials_without_cli_or_file_value(self, capsys, tmp_path, monkeypatch):
+        seen = []
+
+        def record(spec):
+            seen.append(spec.n_trials)
+            raise SpecError("stop before computing")
+
+        monkeypatch.setattr("otdetect.cli.run_sweep", record)
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = 3\n")
+        code, _, _ = run_cli(
+            capsys, "preset", "fig1a", "--config", str(cfg), "--out", str(tmp_path / "x")
+        )
+        assert code == 2
+        assert seen == [preset_specs("fig1a")[0][1].n_trials] == [4000]
+
     def test_preset_fig2_writes_two_csvs(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys,

@@ -233,6 +233,10 @@ class TestModelConfigValidation:
         "kwargs",
         [
             dict(n_sensors=0, signal=1.0),
+            # A sensor count must be an integer, not a float or a bool.
+            dict(n_sensors=10.0, signal=1.0),
+            dict(n_sensors=True, signal=1.0),
+            dict(n_sensors=math.inf, signal=1.0),
             dict(n_sensors=3, signal=0.0),
             dict(n_sensors=3, signal=1.0, noise_var=0.0),
             dict(n_sensors=3, signal=1.0, byz_frac=1.5),
@@ -258,6 +262,10 @@ class TestModelConfigValidation:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ModelConfig(**kwargs)
+
+    def test_accepts_numpy_integer_sensor_count(self):
+        n = ModelConfig(n_sensors=np.int64(5), signal=1.0).n_sensors
+        assert n == 5 and type(n) is int
 
     def test_accepts_large_finite_moments(self):
         cfg = ModelConfig(n_sensors=3, signal=3.0, byz_frac=0.3, attack_strength=1e150)
