@@ -80,7 +80,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="accepted for compatibility (>= 1); grid points always run in order in one thread",
+        help="processes a sweep's grid points are split over (>= 1; capped by the grid "
+        "length and the usable CPUs); the output is the same at every count",
     )
 
 
@@ -223,7 +224,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     if args.out:
         _check_writable(Path(args.out))
-    result = run_sweep(spec)
+    result = run_sweep(spec, args.workers)
     print(summarize(result))
     if args.out:
         path = emit_csv(result, args.out)
@@ -233,7 +234,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_preset(args: argparse.Namespace) -> int:
     # Unless the CLI or the config file sets trials, the preset's own default applies.
-    values = _settings(args, {**_DEFAULTS, "trials": None})
+    # The preset fixes the model, so its parameters must be set by neither.
+    values = _settings(args, {**_DEFAULTS, **dict.fromkeys(PARAM_FIELDS), "trials": None})
+    fixed = [key for key in PARAM_FIELDS if values[key] is not None]
+    if fixed:
+        raise SpecError(
+            f"preset {args.name} fixes the model parameters; do not set {', '.join(fixed)}"
+        )
     pairs = preset_specs(
         args.name, paper_scale=args.paper_scale, n_trials=values["trials"], seed=values["seed"]
     )
@@ -242,7 +249,7 @@ def _cmd_preset(args: argparse.Namespace) -> int:
     for out_path in out_paths:
         _check_writable(out_path)
     for (label, spec), out_path in zip(pairs, out_paths):
-        result = run_sweep(spec)
+        result = run_sweep(spec, args.workers)
         emit_csv(result, out_path)
         print(f"[{args.name}/{label}]")
         print(summarize(result))

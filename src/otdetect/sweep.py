@@ -14,6 +14,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -94,6 +97,8 @@ class SweepSpec:
             raise SpecError(f"unknown metrics {unknown}; choose from {METRICS}")
         if self.n_trials < 1:
             raise SpecError(f"n_trials must be >= 1, got {self.n_trials}")
+        if not 0 <= self.seed < 2**64:
+            raise SpecError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.sweep_param == "N" and any(
             not 1 <= v < math.inf or v != int(v) for v in self.grid
         ):
@@ -171,14 +176,124 @@ def _evaluate_point(spec: SweepSpec, value: float) -> tuple[float | None, ...]:
     return tuple(cells.get(c) for c in spec.columns())
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every grid point of ``spec``, in grid order, in this thread.
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
-    Points run serially because their numpy calls are too short to release
-    the GIL for long, so threads only add contention.  The result is a pure
-    function of the spec.
+
+def _process_count(workers: int, points: int) -> int:
+    """Processes a sweep of ``points`` grid points runs on when ``workers`` are asked for.
+
+    Capped by the grid length and the CPUs this process may use; 1 where
+    ``os.fork`` does not exist.
     """
-    rows = [_evaluate_point(spec, v) for v in spec.grid]
+    if not hasattr(os, "fork"):
+        return 1
+    return min(workers, points, _usable_cpus())
+
+
+def _evaluate_share(spec: SweepSpec, first: int, step: int) -> tuple[list, Exception | None]:
+    """Rows of points ``first``, ``first + step``, ... before the first that raises; its error."""
+    rows = []
+    try:
+        for value in spec.grid[first::step]:
+            rows.append(_evaluate_point(spec, value))
+    except Exception as exc:
+        return rows, exc
+    return rows, None
+
+
+def _run_child_share(spec: SweepSpec, first: int, step: int, write_fd: int) -> None:
+    """In a forked child: pickle one share into ``write_fd`` and exit, never returning.
+
+    ``os._exit`` skips the caller's cleanup and leaves the stdio buffers
+    inherited from the parent unflushed, so nothing the parent has printed
+    is printed twice.
+    """
+    status = 1
+    try:
+        with os.fdopen(write_fd, "wb") as fh:
+            pickle.dump(_evaluate_share(spec, first, step), fh)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _evaluate_grid(spec: SweepSpec, w: int) -> list[tuple[float | None, ...]]:
+    """Rows of every grid point, in grid order; process j of ``w`` evaluates points j, j + w, ...
+
+    The calling process is process 0 and forks the other ``w - 1``; with
+    ``w = 1`` this is a plain loop.  Every child is reaped on every path.
+    The error raised is the one a serial loop would raise: that of the
+    first failing point in grid order.
+    """
+    pids: list[int] = []
+    pipes = []
+    try:
+        for j in range(1, w):
+            read_fd, write_fd = os.pipe()
+            pipes.append(os.fdopen(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child_share(spec, j, w, write_fd)
+            finally:
+                os.close(write_fd)  # the parent's copy; a child never gets here
+            pids.append(pid)
+        shares = [_evaluate_share(spec, 0, w)]
+        own_rows, own_error = shares[0]
+        if own_error is not None:
+            _kill(pids)
+            # The points of the killed shares before this one are checked here,
+            # so that an earlier failure raises first, as in the serial loop.
+            for i in range(len(own_rows) * w):
+                if i % w:
+                    _evaluate_point(spec, spec.grid[i])
+            raise own_error
+        for pipe in pipes:
+            data = pipe.read()
+            _, status = os.waitpid(pids[0], 0)
+            pids.pop(0)
+            if status != 0:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"a sweep worker process failed (exit code {code})")
+            shares.append(pickle.loads(data))
+    finally:
+        _kill(pids)
+        for pipe in pipes:
+            pipe.close()
+    errors = [(j + len(rows) * w, exc) for j, (rows, exc) in enumerate(shares) if exc is not None]
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return [shares[i % w][0][i // w] for i in range(len(spec.grid))]
+
+
+def _kill(pids: list[int]) -> None:
+    """Kill and reap the children in ``pids``, emptying it."""
+    while pids:
+        pid = pids.pop()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
+    """Evaluate every grid point of ``spec``; rows come back in grid order.
+
+    The grid is split round-robin over ``workers`` processes, capped by the
+    grid length and the usable CPUs: the caller evaluates its share and
+    forks one child per other share (no fork with one process, or where
+    ``os.fork`` does not exist).  Every point derives its randomness from
+    the spec alone, so the result is a pure function of the spec and the
+    same at every worker count; an error is the first in grid order.
+    A fork copies only the calling thread: a caller whose other threads may
+    hold locks should keep ``workers = 1``.
+    """
+    if workers < 1:
+        raise SpecError(f"workers must be >= 1, got {workers}")
+    rows = _evaluate_grid(spec, _process_count(workers, len(spec.grid)))
     provenance = {
         "config_hash": spec.config_hash(),
         "seed": spec.seed,

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import otdetect
-from otdetect import SpecError, load_csv, preset_specs
+from otdetect import SpecError, load_csv, preset_specs, sweep
 from otdetect.cli import main
+from test_sweep import assert_no_child_left
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +177,21 @@ class TestSweepCommand:
         assert code == 2
         assert "--workers" in err
 
+    def test_seed_out_of_range_exits_2(self, capsys, monkeypatch):
+        def not_called(*args, **kwargs):
+            raise AssertionError("the grid was computed before the seed check")
+
+        monkeypatch.setattr("otdetect.cli.run_sweep", not_called)
+        for seed in ("-1", str(2**64)):
+            code, _, err = run_cli(
+                capsys, "sweep", "--param", "D", "--grid", "0:2:1", "--metrics", "dc",
+                "--seed", seed,
+            )
+            assert code == 2
+            assert "seed" in err
+            code, _, err = run_cli(capsys, "preset", "fig1a", "--seed", seed)
+            assert code == 2
+
     def test_unwritable_out_fails_before_computing(self, capsys, tmp_path, monkeypatch):
         def not_called(*args, **kwargs):
             raise AssertionError("the grid was computed before the --out check")
@@ -249,7 +265,7 @@ class TestPresetCommand:
     def test_default_trials_without_cli_or_file_value(self, capsys, tmp_path, monkeypatch):
         seen = []
 
-        def record(spec):
+        def record(spec, workers=1):
             seen.append(spec.n_trials)
             raise SpecError("stop before computing")
 
@@ -295,9 +311,106 @@ class TestPresetCommand:
         assert code == 3
         assert "does not exist" in err
 
+    def test_model_parameters_exit_2(self, capsys, tmp_path, monkeypatch):
+        # A preset fixes its model; a parameter from either source is refused
+        # before any curve is computed.
+        def not_called(*args, **kwargs):
+            raise AssertionError("a curve was computed before the parameter check")
+
+        monkeypatch.setattr("otdetect.cli.run_sweep", not_called)
+        code, out, err = run_cli(
+            capsys, "preset", "fig1a", "--N", "50", "--alpha0", "0.9", "--trials", "20"
+        )
+        assert (code, out) == (2, "")
+        assert "N, alpha0" in err
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("D = 1\nprior_h1 = 0.3\ntrials = 20\n")
+        code, _, err = run_cli(capsys, "preset", "fig2", "--config", str(cfg))
+        assert code == 2
+        assert "D, prior_h1" in err
+
     def test_unknown_preset_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit):
             main(["preset", "fig9"])  # argparse rejects the choice
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that --workers >= 2 forks even on a one-CPU machine."""
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+
+
+class TestParallelSweeps:
+    def test_same_bytes_at_every_worker_count(self, capsys, tmp_path, monkeypatch, two_cpus):
+        calls = [
+            ["preset", "fig2", "--trials", "300", "--out", "fig2"],
+            ["sweep", "--param", "N", "--grid", "2,5,10,20",
+             "--metrics", "pe_analytic,ns_empirical,nt_analytic,ns_lb,dc,d_star",
+             "--alpha0", "0.3", "--D", "4", "--trials", "300", "--out", "n.csv"],
+        ]
+        stdout = {}
+        for workers in ("1", "2", "8"):
+            (tmp_path / workers).mkdir()
+            monkeypatch.chdir(tmp_path / workers)
+            stdout[workers] = []
+            for argv in calls:
+                code, out, _ = run_cli(capsys, *argv, "--workers", workers)
+                assert code == 0
+                stdout[workers].append(out)
+            assert_no_child_left()
+        assert stdout["1"] == stdout["2"] == stdout["8"]
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert len(names) == 6  # 2 + 1 CSVs, each with its sidecar
+        for workers in ("2", "8"):
+            assert names == sorted(p.name for p in (tmp_path / workers).iterdir())
+            for name in names:
+                want = (tmp_path / "1" / name).read_bytes()
+                assert (tmp_path / workers / name).read_bytes() == want
+
+    def test_error_in_child_exits_2(self, capsys, two_cpus):
+        # Grid index 1 is the child's; its N-scaled dc moments overflow.
+        code, out, err = run_cli(
+            capsys, "sweep", "--param", "N", "--grid", "10,1000000", "--metrics", "dc",
+            "--D", "1e150", "--alpha0", "0.3", "--workers", "2",
+        )
+        assert (code, out) == (2, "")
+        assert "N-scaled" in err
+        assert_no_child_left()
+
+    def test_workers_1_never_forks(self, capsys, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked at --workers 1")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        code, _, _ = run_cli(
+            capsys, "preset", "fig1a", "--trials", "20", "--workers", "1",
+            "--out", str(tmp_path / "fig1a"),
+        )
+        assert code == 0
+
+    def test_stdout_printed_once_through_a_pipe(self, tmp_path):
+        # Piped stdout is block-buffered, so the second curve forks while the
+        # first curve's summary still sits in the buffer; a child that flushed
+        # it would print it twice.
+        run = (
+            "import sys; from otdetect import sweep; sweep._usable_cpus = lambda: 2; "
+            "from otdetect.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        env = subprocess_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        out = {}
+        for workers in ("1", "2"):
+            out[workers] = subprocess.run(
+                [sys.executable, "-c", run, "preset", "fig1a", "--trials", "20",
+                 "--workers", workers, "--out", "fig1a"],
+                capture_output=True,
+                text=True,
+                check=True,
+                cwd=tmp_path,
+                env=env,
+            ).stdout
+        assert out["2"].count("[fig1a/s0.5]") == out["2"].count("[fig1a/s4]") == 1
+        assert out["2"] == out["1"]
 
 
 def subprocess_env() -> dict:
@@ -346,11 +459,12 @@ def test_parser_reuse_matches_fresh_processes(capsys, tmp_path, monkeypatch):
 def test_cli_import_skips_slow_scipy_subpackages():
     # scipy.stats alone takes about 0.9 s to import, all of it start-up cost
     # of every CLI call; the package needs only numpy and scipy.special.
-    probe = (
-        "import otdetect.cli, sys; "
-        "print(' '.join(m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
-        "if m in sys.modules))"
+    # run_sweep forks with os alone, so no process-pool module is loaded either.
+    slow = (
+        "scipy.stats", "scipy.integrate", "scipy.optimize",
+        "multiprocessing", "concurrent.futures.process",
     )
+    probe = f"import otdetect.cli, sys; print(' '.join(m for m in {slow!r} if m in sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from otdetect import (
     preset_specs,
     run_sweep,
     summarize,
+    sweep,
 )
 from otdetect.sweep import PRESET_NAMES
 
@@ -33,6 +35,11 @@ def small_spec(**over) -> SweepSpec:
     )
     kwargs.update(over)
     return SweepSpec(**kwargs)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestSweepSpecValidation:
@@ -57,6 +64,8 @@ class TestSweepSpecValidation:
             dict(sweep_param="N", grid=(1.5, 2.0)),
             dict(sweep_param="alpha0", grid=(0.2, 1.5)),
             dict(sweep_param="N", grid=(1.0, float("inf"))),
+            dict(seed=-1),
+            dict(seed=2**64),
         ],
     )
     def test_invalid(self, over):
@@ -81,6 +90,57 @@ class TestRunSweep:
     def test_deterministic(self):
         spec = small_spec(grid=(0.0, 2.0, 4.0, 6.0))
         assert run_sweep(spec).rows == run_sweep(spec).rows
+
+    def test_worker_invariant(self, monkeypatch):
+        # Three usable CPUs, so that three processes split the grid unevenly
+        # (points 0 and 3, 1, 2) even on a one-CPU machine.
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 3)
+        spec = small_spec(grid=(0.0, 2.0, 4.0, 6.0), metrics=("pe_empirical", "nt_analytic", "dc"))
+        serial = run_sweep(spec).rows
+        for workers in (2, 3, 8):
+            assert run_sweep(spec, workers).rows == serial
+        assert_no_child_left()
+
+    def test_workers_below_one(self):
+        with pytest.raises(SpecError):
+            run_sweep(small_spec(), 0)
+
+    def test_process_count_cap(self, monkeypatch):
+        cpus = sweep._usable_cpus()
+        assert 1 <= sweep._process_count(1_000_000, 25) <= min(cpus, 25)
+        assert sweep._process_count(1_000_000, 1) == 1
+        assert sweep._process_count(1, 25) == 1
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+        assert sweep._process_count(1_000_000, 25) == 2
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 64)
+        assert sweep._process_count(1_000_000, 25) == 25
+        monkeypatch.delattr(os, "fork")
+        assert sweep._process_count(8, 25) == 1
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            (10.0, 1e6),  # only the child's point fails
+            (1e6, 1e7),  # only the parent's point fails
+            # Two processes: the parent fails after the child's earlier point.
+            # Three: both children fail.
+            (10.0, 1e6, 1e7),
+        ],
+    )
+    def test_error_is_first_in_grid_order(self, monkeypatch, grid):
+        # The N-scaled dc moments overflow from N = 10^6 at D = 1e150, so the
+        # first failing point is always N = 10^6.
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 3)
+        spec = small_spec(
+            base=BASE.replace(attack_strength=1e150),
+            sweep_param="N",
+            grid=grid,
+            metrics=("dc",),
+        )
+        for workers in (1, 2, 3):
+            with pytest.raises(ValueError, match="at N = 1000000: the N-scaled"):
+                run_sweep(spec, workers)
+            assert_no_child_left()
 
     def test_d_star_not_applicable_cell(self):
         spec = small_spec(
