@@ -44,9 +44,6 @@ class Hypothesis(IntEnum):
     H0 = 0
     H1 = 1
 
-    def other(self) -> "Hypothesis":
-        return Hypothesis(1 - self.value)
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -293,10 +290,9 @@ def population_moments(config: ModelConfig) -> PopulationMoments:
     variances = {}
     for h in (Hypothesis.H0, Hypothesis.H1):
         m = llr_mixture(config, h)
-        delta = a * m.mean_byz + (1.0 - a) * m.mean_honest
+        means[h] = m.mean
         second = beta + a * m.mean_byz**2 + (1.0 - a) * m.mean_honest**2
-        means[h] = delta
-        variances[h] = second - delta**2
+        variances[h] = second - means[h] ** 2
     return PopulationMoments(
         mean_h0=means[Hypothesis.H0],
         mean_h1=means[Hypothesis.H1],

@@ -123,10 +123,8 @@ class _StreamSampler:
     """
 
     def __init__(self, seed: int) -> None:
-        if not 0 <= seed < _U64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self._bitgen = np.random.Philox(key=seed)
-        self.generator = np.random.Generator(self._bitgen)
+        self.generator = RngSpec(seed).generator()
+        self._bitgen = self.generator.bit_generator
         self._state = self._bitgen.state
         self._state["state"]["key"] = self._state["state"]["key"].tolist()
         # A fresh state has an empty output buffer (buffer_pos 4, no spare
@@ -325,9 +323,9 @@ def run_batch(config: ModelConfig, n_trials: int, seed: int) -> BatchSummary:
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     sampler = _StreamSampler(seed)
-    # Truth labels live in the upper half of the counter space, clear of
-    # per-trial streams (which sit at stream << 192 for stream < 2^63).
-    truth_gen = np.random.Generator(np.random.Philox(key=seed, counter=1 << 255))
+    # Truth labels live on stream 2^63, the first of the upper half, clear
+    # of the per-trial streams (stream < 2^63 for any feasible n_trials).
+    truth_gen = RngSpec(seed, 1 << 63).generator()
     truths = truth_gen.random(n_trials) < config.prior_h1
     n = config.n_sensors
     errors = 0

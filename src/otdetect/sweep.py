@@ -103,9 +103,15 @@ class SweepSpec:
             not 1 <= v < math.inf or v != int(v) for v in self.grid
         ):
             raise SpecError("an N grid must contain positive integers")
-        # Every grid point must form a valid config.
+        # Every grid point must form a valid config with a finite dc, so that
+        # no point can fail once the spec is built.
         for value in self.grid:
-            self.config_at(value)
+            cfg = self.config_at(value)
+            if "dc" in self.metrics:
+                try:
+                    deflection_coefficient(cfg)
+                except ValueError as exc:
+                    raise SpecError(str(exc)) from exc
 
     def config_at(self, value: float) -> ModelConfig:
         """The model config at one grid value of the swept parameter."""
@@ -144,35 +150,26 @@ class SweepResult:
 
 def _evaluate_point(spec: SweepSpec, value: float) -> tuple[float | None, ...]:
     cfg = spec.config_at(value)
+    wanted = set(spec.metrics)
     cells: dict[str, float | None] = {spec.sweep_param: float(value)}
-    need_batch = bool(MC_METRICS.intersection(spec.metrics) - {"nt_analytic"})
-    batch = run_batch(cfg, spec.n_trials, spec.seed) if need_batch else None
-    need_bounds = "ns_lb" in spec.metrics or "ns_ub" in spec.metrics
-    bounds = None
-    if need_bounds and cfg.n_sensors >= 2:
+    if wanted & {"pe_empirical", "ns_empirical"}:
+        batch = run_batch(cfg, spec.n_trials, spec.seed)
+        cells["pe_empirical"], cells["pe_empirical_se"] = batch.pe.value, batch.pe.se
+        saved = batch.mean_saved
+        cells["ns_empirical"], cells["ns_empirical_se"] = saved.value, saved.se
+    if "nt_analytic" in wanted:
+        total = expected_transmissions(cfg, max(spec.n_trials, 1000), spec.seed).total
+        cells["nt_analytic"], cells["nt_analytic_se"] = total.value, total.se
+    if wanted & {"ns_lb", "ns_ub"} and cfg.n_sensors >= 2:
         bounds = transmission_savings_bounds(cfg)
-    for m in spec.metrics:
-        if m == "pe_analytic":
-            cells[m] = analytic_error_probs(cfg).p_e
-        elif m == "pe_empirical":
-            cells[m] = batch.pe.value
-            cells[m + "_se"] = batch.pe.se
-        elif m == "ns_empirical":
-            cells[m] = batch.mean_saved.value
-            cells[m + "_se"] = batch.mean_saved.se
-        elif m == "nt_analytic":
-            est = expected_transmissions(cfg, max(spec.n_trials, 1000), spec.seed)
-            cells[m] = est.total.value
-            cells[m + "_se"] = est.total.se
-        elif m == "ns_lb":
-            cells[m] = bounds.lb_saved if bounds is not None else None
-        elif m == "ns_ub":
-            cells[m] = bounds.ub_saved if bounds is not None else None
-        elif m == "dc":
-            cells[m] = deflection_coefficient(cfg).dc
-        elif m == "d_star":
-            # Undefined without compromised sensors: an explicit NA cell.
-            cells[m] = optimal_attack_strength(cfg) if cfg.byz_frac > 0 else None
+        cells["ns_lb"], cells["ns_ub"] = bounds.lb_saved, bounds.ub_saved
+    if "pe_analytic" in wanted:
+        cells["pe_analytic"] = analytic_error_probs(cfg).p_e
+    if "dc" in wanted:
+        cells["dc"] = deflection_coefficient(cfg).dc
+    # Undefined without compromised sensors: an explicit NA cell.
+    if "d_star" in wanted and cfg.byz_frac > 0:
+        cells["d_star"] = optimal_attack_strength(cfg)
     return tuple(cells.get(c) for c in spec.columns())
 
 
@@ -195,28 +192,22 @@ def _process_count(workers: int, points: int) -> int:
     return min(workers, points, _usable_cpus())
 
 
-def _evaluate_share(spec: SweepSpec, first: int, step: int) -> tuple[list, Exception | None]:
-    """Rows of points ``first``, ``first + step``, ... before the first that raises; its error."""
-    rows = []
-    try:
-        for value in spec.grid[first::step]:
-            rows.append(_evaluate_point(spec, value))
-    except Exception as exc:
-        return rows, exc
-    return rows, None
-
-
 def _run_child_share(spec: SweepSpec, first: int, step: int, write_fd: int) -> None:
     """In a forked child: pickle one share into ``write_fd`` and exit, never returning.
 
-    ``os._exit`` skips the caller's cleanup and leaves the stdio buffers
-    inherited from the parent unflushed, so nothing the parent has printed
-    is printed twice.
+    The share is the rows of points ``first``, ``first + step``, ..., or the
+    exception that stopped them.  ``os._exit`` skips the caller's cleanup
+    and leaves the stdio buffers inherited from the parent unflushed, so
+    nothing the parent has printed is printed twice.
     """
     status = 1
     try:
+        try:
+            share = [_evaluate_point(spec, value) for value in spec.grid[first::step]]
+        except Exception as exc:
+            share = exc
         with os.fdopen(write_fd, "wb") as fh:
-            pickle.dump(_evaluate_share(spec, first, step), fh)
+            pickle.dump(share, fh)
         status = 0
     finally:
         os._exit(status)
@@ -226,9 +217,8 @@ def _evaluate_grid(spec: SweepSpec, w: int) -> list[tuple[float | None, ...]]:
     """Rows of every grid point, in grid order; process j of ``w`` evaluates points j, j + w, ...
 
     The calling process is process 0 and forks the other ``w - 1``; with
-    ``w = 1`` this is a plain loop.  Every child is reaped on every path.
-    The error raised is the one a serial loop would raise: that of the
-    first failing point in grid order.
+    ``w = 1`` this is a plain loop.  An error raised in any process reaches
+    the caller, and every child is reaped on every path.
     """
     pids: list[int] = []
     pipes = []
@@ -243,16 +233,7 @@ def _evaluate_grid(spec: SweepSpec, w: int) -> list[tuple[float | None, ...]]:
             finally:
                 os.close(write_fd)  # the parent's copy; a child never gets here
             pids.append(pid)
-        shares = [_evaluate_share(spec, 0, w)]
-        own_rows, own_error = shares[0]
-        if own_error is not None:
-            _kill(pids)
-            # The points of the killed shares before this one are checked here,
-            # so that an earlier failure raises first, as in the serial loop.
-            for i in range(len(own_rows) * w):
-                if i % w:
-                    _evaluate_point(spec, spec.grid[i])
-            raise own_error
+        shares = [[_evaluate_point(spec, value) for value in spec.grid[::w]]]
         for pipe in pipes:
             data = pipe.read()
             _, status = os.waitpid(pids[0], 0)
@@ -260,15 +241,15 @@ def _evaluate_grid(spec: SweepSpec, w: int) -> list[tuple[float | None, ...]]:
             if status != 0:
                 code = os.waitstatus_to_exitcode(status)
                 raise RuntimeError(f"a sweep worker process failed (exit code {code})")
-            shares.append(pickle.loads(data))
+            share = pickle.loads(data)
+            if isinstance(share, Exception):
+                raise share
+            shares.append(share)
     finally:
         _kill(pids)
         for pipe in pipes:
             pipe.close()
-    errors = [(j + len(rows) * w, exc) for j, (rows, exc) in enumerate(shares) if exc is not None]
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-    return [shares[i % w][0][i // w] for i in range(len(spec.grid))]
+    return [shares[i % w][i // w] for i in range(len(spec.grid))]
 
 
 def _kill(pids: list[int]) -> None:
@@ -287,7 +268,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     forks one child per other share (no fork with one process, or where
     ``os.fork`` does not exist).  Every point derives its randomness from
     the spec alone, so the result is a pure function of the spec and the
-    same at every worker count; an error is the first in grid order.
+    same at every worker count.  ``SweepSpec`` checks every point when it
+    is built, so a sweep that would fail is refused before anything runs.
     A fork copies only the calling thread: a caller whose other threads may
     hold locks should keep ``workers = 1``.
     """

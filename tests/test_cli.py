@@ -367,8 +367,13 @@ class TestParallelSweeps:
                 want = (tmp_path / "1" / name).read_bytes()
                 assert (tmp_path / workers / name).read_bytes() == want
 
-    def test_error_in_child_exits_2(self, capsys, two_cpus):
-        # Grid index 1 is the child's; its N-scaled dc moments overflow.
+    def test_failing_point_exits_2_before_fork(self, capsys, monkeypatch, two_cpus):
+        # Grid index 1 would be the child's; its N-scaled dc moments overflow,
+        # which the spec refuses before any process is forked.
+        def no_fork():
+            raise AssertionError("forked for a sweep that cannot run")
+
+        monkeypatch.setattr(os, "fork", no_fork)
         code, out, err = run_cli(
             capsys, "sweep", "--param", "N", "--grid", "10,1000000", "--metrics", "dc",
             "--D", "1e150", "--alpha0", "0.3", "--workers", "2",

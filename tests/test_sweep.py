@@ -117,30 +117,31 @@ class TestRunSweep:
         monkeypatch.delattr(os, "fork")
         assert sweep._process_count(8, 25) == 1
 
-    @pytest.mark.parametrize(
-        "grid",
-        [
-            (10.0, 1e6),  # only the child's point fails
-            (1e6, 1e7),  # only the parent's point fails
-            # Two processes: the parent fails after the child's earlier point.
-            # Three: both children fail.
-            (10.0, 1e6, 1e7),
-        ],
-    )
-    def test_error_is_first_in_grid_order(self, monkeypatch, grid):
+    @pytest.mark.parametrize("grid", [(10.0, 1e6), (1e6, 1e7), (10.0, 1e6, 1e7)])
+    def test_failing_point_refused_at_construction(self, grid):
         # The N-scaled dc moments overflow from N = 10^6 at D = 1e150, so the
         # first failing point is always N = 10^6.
+        over = dict(base=BASE.replace(attack_strength=1e150), sweep_param="N", grid=grid)
+        with pytest.raises(SpecError, match="at N = 1000000: the N-scaled"):
+            small_spec(**over, metrics=("pe_analytic", "dc"))
+        small_spec(**over, metrics=("pe_analytic",))  # only dc overflows
+
+    # Three processes on the grid's three points: the parent's, child 1's, child 2's.
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_run_time_error_reaches_caller(self, monkeypatch, failing):
         monkeypatch.setattr(sweep, "_usable_cpus", lambda: 3)
-        spec = small_spec(
-            base=BASE.replace(attack_strength=1e150),
-            sweep_param="N",
-            grid=grid,
-            metrics=("dc",),
-        )
-        for workers in (1, 2, 3):
-            with pytest.raises(ValueError, match="at N = 1000000: the N-scaled"):
-                run_sweep(spec, workers)
-            assert_no_child_left()
+        spec = small_spec(grid=(0.0, 2.0, 4.0))
+        evaluate = sweep._evaluate_point
+
+        def fail_at(spec, value):
+            if value == spec.grid[failing]:
+                raise ArithmeticError(f"point {failing} failed")
+            return evaluate(spec, value)
+
+        monkeypatch.setattr(sweep, "_evaluate_point", fail_at)
+        with pytest.raises(ArithmeticError, match=f"point {failing} failed"):
+            run_sweep(spec, workers=3)
+        assert_no_child_left()
 
     def test_d_star_not_applicable_cell(self):
         spec = small_spec(
