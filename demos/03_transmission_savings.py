@@ -27,7 +27,7 @@ def main() -> None:
         est = expected_transmissions(cfg, 30_000, seed=6)
         print(
             f"{d:5.1f}   {batch.mean_saved.value / 10:12.3f}   "
-            f"{batch.mean_stop_k.value:9.3f}      {est.total.value:8.3f} (+-{est.total.se:.3f})"
+            f"{batch.mean_stop_k.value:9.3f}      {est.value:8.3f} (+-{est.se:.3f})"
         )
     print("The drop bottoms out near the blinding strength D* = s/(2 alpha0) = 5.")
 

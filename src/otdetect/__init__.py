@@ -30,6 +30,7 @@ from .protocol import (
     RngSpec,
     TrialRecord,
     draw_trial,
+    expected_transmissions,
     partial_sum_bounds,
     run_batch,
     stopping_rule,
@@ -44,11 +45,9 @@ from .attack import (
 from .analysis import (
     BoundsReport,
     ErrorProbabilities,
-    ExpectedTransmissions,
     abs_order_stat_cdf,
     abs_order_stat_pdf,
     analytic_error_probs,
-    expected_transmissions,
     transmission_savings_bounds,
 )
 from .sweep import (
@@ -85,16 +84,15 @@ __all__ = [
     "stopping_rule",
     "partial_sum_bounds",
     "run_batch",
+    "expected_transmissions",
     "AttackAssessment",
     "ByzFraction",
     "deflection_coefficient",
     "optimal_attack_strength",
     "optimal_byz_fraction",
     "ErrorProbabilities",
-    "ExpectedTransmissions",
     "BoundsReport",
     "analytic_error_probs",
-    "expected_transmissions",
     "abs_order_stat_pdf",
     "abs_order_stat_cdf",
     "transmission_savings_bounds",

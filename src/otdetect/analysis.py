@@ -8,9 +8,6 @@ simulator in :mod:`otdetect.protocol`, and so cross-checkable against it:
 * the density of the k-th largest LLR magnitude, and its CDF by the
   binomial identity;
 * Cauchy-Schwarz upper/lower bounds on the expected transmissions saved.
-
-:func:`expected_transmissions` is not one of them: it runs each hypothesis
-through the simulator's own stopping kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import numpy as np
 from scipy import special
 
 from .core import (
-    EstimateWithError,
     Hypothesis,
     LlrMixture,
     ModelConfig,
@@ -32,14 +28,12 @@ from .core import (
     population_moments,
     q_function,
 )
-from .protocol import _BLOCK_ELEMENTS, RngSpec, _mean_with_se, _simulate
+from .protocol import RngSpec
 
 __all__ = [
     "ErrorProbabilities",
-    "ExpectedTransmissions",
     "BoundsReport",
     "analytic_error_probs",
-    "expected_transmissions",
     "abs_order_stat_pdf",
     "abs_order_stat_cdf",
     "transmission_savings_bounds",
@@ -58,23 +52,6 @@ class ErrorProbabilities:
     p_f: float
     p_e: float
     threshold: float
-
-
-@dataclass(frozen=True)
-class ExpectedTransmissions:
-    """Expected transmissions until the fusion center can stop.
-
-    ``survival_h0[k-1]`` estimates P(stop time >= k | H0) (likewise H1) from
-    ``n_samples`` trials per hypothesis; ``total`` is the prior-weighted
-    mean stop time, the prior-weighted sum over k of those survival terms.
-    """
-
-    total: EstimateWithError
-    survival_h0: np.ndarray
-    survival_h0_se: np.ndarray
-    survival_h1: np.ndarray
-    survival_h1_se: np.ndarray
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -124,59 +101,6 @@ def analytic_error_probs(config: ModelConfig) -> ErrorProbabilities:
     p_f = min(max(tail_mix(Hypothesis.H0), 0.0), 1.0)
     p_e = config.prior_h1 * (1.0 - p_d) + config.prior_h0 * p_f
     return ErrorProbabilities(p_d=p_d, p_f=p_f, p_e=p_e, threshold=lam)
-
-
-def expected_transmissions(
-    config: ModelConfig, n_samples: int = 100_000, seed: int = 0
-) -> ExpectedTransmissions:
-    """Monte-Carlo estimate of the expected stop time E[k*].
-
-    Runs ``n_samples`` trials under each hypothesis through the stopping
-    kernel that :func:`~otdetect.protocol.run_batch` uses, and counts stop
-    times: ``survival_h[k-1]`` is the fraction of H-trials with k* >= k
-    (binomial SE) and ``total`` is pi0 mean(k*|H0) + pi1 mean(k*|H1), with
-    its SE from the stop-time variances.
-
-    Hypothesis h draws from the single stream ``RngSpec(seed, 2^63 + 1 + h)``,
-    in blocks of max(1, 16384 // N) rows: a block's uniforms (compromise
-    masks), then its normals (noise).  ``run_batch`` uses streams below 2^63 and the stream
-    at 2^63 for its truth labels, so the two estimates at one seed are
-    independent.
-    """
-    if n_samples < 1000:
-        raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
-    n = config.n_sensors
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    ks = np.arange(n + 1)
-    surv = np.empty((2, n))
-    means = np.empty(2)
-    mean_ses = np.empty(2)
-    for h in (Hypothesis.H0, Hypothesis.H1):
-        gen = RngSpec(seed, (1 << 63) + 1 + int(h)).generator()
-        counts = np.zeros(n + 1, dtype=np.int64)
-        for start in range(0, n_samples, rows):
-            m = min(rows, n_samples - start)
-            uniforms = gen.random((m, n))
-            normals = gen.standard_normal((m, n))
-            stop_k = _simulate(config, np.full(m, bool(h)), uniforms, normals)[2]
-            counts += np.bincount(stop_k, minlength=n + 1)
-        # counts[k:].sum() trials stopped at k or later.
-        surv[h] = np.cumsum(counts[::-1])[::-1][1:] / n_samples
-        means[h], mean_ses[h] = _mean_with_se(
-            float(counts @ ks), float(counts @ (ks * ks)), n_samples
-        )
-    surv_se = np.sqrt(surv * (1.0 - surv) / n_samples)
-    priors = np.array([config.prior_h0, config.prior_h1])
-    total = float(priors @ means)
-    total_se = math.sqrt(float(np.sum((priors * mean_ses) ** 2)))
-    return ExpectedTransmissions(
-        total=EstimateWithError(total, total_se, n_samples),
-        survival_h0=surv[0],
-        survival_h0_se=surv_se[0],
-        survival_h1=surv[1],
-        survival_h1_se=surv_se[1],
-        n_samples=n_samples,
-    )
 
 
 def _check_order_stat_args(config: ModelConfig, k: int) -> None:

@@ -92,7 +92,13 @@ class ModelConfig:
             raise ValueError("decision threshold ln(prior_h0/prior_h1) is not finite")
         # Finite inputs can still overflow the LLR moments (s^2/sigma^2, or a
         # compromised mean of about D s/sigma^2); float ** raises on overflow.
+        # They can also underflow the variance s^2/sigma^2 to 0.
         try:
+            if self.llr_var == 0.0:
+                raise ValueError(
+                    "LLR variance is 0: signal and noise_var underflow s^2/sigma2 "
+                    f"(s={self.signal}, sigma2={self.noise_var})"
+                )
             mom = population_moments(self)
             finite = math.isfinite(mom.var_h0) and math.isfinite(mom.var_h1)
         except OverflowError:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,11 +28,12 @@ __all__ = [
     "stopping_rule",
     "partial_sum_bounds",
     "run_batch",
+    "expected_transmissions",
 ]
 
 _U64 = 1 << 64
-# run_batch and analysis.expected_transmissions work on blocks of about this
-# many variates per array, so their working set stays near a megabyte.
+# _stop_counts runs trials in blocks of about this many variates per array,
+# so its working set stays near a megabyte.
 _BLOCK_ELEMENTS = 16384
 
 StopAction = Literal["decide_H0", "decide_H1", "continue"]
@@ -302,12 +303,38 @@ def draw_trial(config: ModelConfig, truth: Hypothesis, rng: RngSpec) -> TrialRec
     )
 
 
-def _mean_with_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
-    mean = total / n
-    if n < 2:
-        return mean, 0.0
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    return mean, math.sqrt(var / n)
+def _stop_counts(
+    config: ModelConfig,
+    h1: np.ndarray,
+    fill: Callable[[int, np.ndarray, np.ndarray], None],
+) -> tuple[int, float, float]:
+    """Run one trial per entry of ``h1`` through :func:`_simulate`, in blocks of rows.
+
+    ``fill(start, uniforms, normals)`` writes the raw variates of trials
+    ``start``, ``start + 1``, ... into a block's (m, N) buffers.  Returns the
+    number of wrong decisions, and the mean stop time with its SE, reduced
+    from exact integer counts of the stop times.
+    """
+    n_trials = len(h1)
+    n = config.n_sensors
+    rows = min(n_trials, max(1, _BLOCK_ELEMENTS // n))
+    uniforms = np.empty((rows, n))
+    normals = np.empty((rows, n))
+    errors = 0
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, n_trials, rows):
+        m = min(rows, n_trials - start)
+        fill(start, uniforms[:m], normals[:m])
+        truth = h1[start : start + m]
+        _, _, stop_k, decide_h1, _ = _simulate(config, truth, uniforms[:m], normals[:m])
+        errors += int(np.count_nonzero(decide_h1 != truth))
+        counts += np.bincount(stop_k, minlength=n + 1)
+    ks = np.arange(n + 1)
+    mean = float(counts @ ks) / n_trials
+    if n_trials < 2:
+        return errors, mean, 0.0
+    var = max(float(counts @ (ks * ks)) - n_trials * mean * mean, 0.0) / (n_trials - 1)
+    return errors, mean, math.sqrt(var / n_trials)
 
 
 def run_batch(config: ModelConfig, n_trials: int, seed: int) -> BatchSummary:
@@ -327,32 +354,52 @@ def run_batch(config: ModelConfig, n_trials: int, seed: int) -> BatchSummary:
     # of the per-trial streams (stream < 2^63 for any feasible n_trials).
     truth_gen = RngSpec(seed, 1 << 63).generator()
     truths = truth_gen.random(n_trials) < config.prior_h1
-    n = config.n_sensors
-    errors = 0
-    sum_k = 0
-    sum_k_sq = 0
-    rows = min(n_trials, max(1, _BLOCK_ELEMENTS // n))
-    uniforms = np.empty((rows, n))
-    normals = np.empty((rows, n))
-    for start in range(0, n_trials, rows):
-        m = min(rows, n_trials - start)
-        for r in range(m):
+
+    def fill(start: int, uniforms: np.ndarray, normals: np.ndarray) -> None:
+        for r in range(len(uniforms)):
             gen = sampler.at(start + r)
             gen.random(out=uniforms[r])
             gen.standard_normal(out=normals[r])
-        h1 = truths[start : start + m]
-        _, _, stop_k, decide_h1, _ = _simulate(config, h1, uniforms[:m], normals[:m])
-        errors += int(np.count_nonzero(decide_h1 != h1))
-        sum_k += int(stop_k.sum())
-        sum_k_sq += int((stop_k * stop_k).sum())
+
+    errors, mean_k, se_k = _stop_counts(config, truths, fill)
     pe = errors / n_trials
     pe_se = math.sqrt(pe * (1.0 - pe) / n_trials)
-    mean_k, se_k = _mean_with_se(float(sum_k), float(sum_k_sq), n_trials)
     return BatchSummary(
         config=config,
         n_trials=n_trials,
         n_h1=int(truths.sum()),
         pe=EstimateWithError(pe, pe_se, n_trials),
         mean_stop_k=EstimateWithError(mean_k, se_k, n_trials),
-        mean_saved=EstimateWithError(n - mean_k, se_k, n_trials),
+        mean_saved=EstimateWithError(config.n_sensors - mean_k, se_k, n_trials),
     )
+
+
+def expected_transmissions(
+    config: ModelConfig, n_samples: int = 100_000, seed: int = 0
+) -> EstimateWithError:
+    """Monte-Carlo estimate of the expected stop time E[k*].
+
+    Runs ``n_samples`` trials under each hypothesis through the stopping
+    kernel of :func:`run_batch`; the estimate is pi0 mean(k*|H0) +
+    pi1 mean(k*|H1), with its SE from the stop-time variances.
+    Hypothesis h draws from the single stream ``RngSpec(seed, 2^63 + 1 + h)``,
+    in blocks of max(1, 16384 // N) rows: a block's uniforms (compromise
+    masks), then its normals (noise).  ``run_batch`` uses streams below 2^63
+    and the stream at 2^63 for its truth labels, so the two estimates at one
+    seed are independent.
+    """
+    if n_samples < 1000:
+        raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
+    means = np.empty(2)
+    ses = np.empty(2)
+    for h in (Hypothesis.H0, Hypothesis.H1):
+        gen = RngSpec(seed, (1 << 63) + 1 + int(h)).generator()
+
+        def fill(start: int, uniforms: np.ndarray, normals: np.ndarray) -> None:
+            gen.random(out=uniforms)
+            gen.standard_normal(out=normals)
+
+        _, means[h], ses[h] = _stop_counts(config, np.full(n_samples, bool(h)), fill)
+    priors = np.array([config.prior_h0, config.prior_h1])
+    se = math.sqrt(float(np.sum((priors * ses) ** 2)))
+    return EstimateWithError(float(priors @ means), se, n_samples)

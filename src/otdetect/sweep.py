@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .analysis import analytic_error_probs, expected_transmissions, transmission_savings_bounds
+from .analysis import analytic_error_probs, transmission_savings_bounds
 from .attack import deflection_coefficient, optimal_attack_strength
 from .core import ModelConfig
-from .protocol import run_batch
+from .protocol import expected_transmissions, run_batch
 
 __all__ = [
     "SpecError",
@@ -158,8 +158,8 @@ def _evaluate_point(spec: SweepSpec, value: float) -> tuple[float | None, ...]:
         saved = batch.mean_saved
         cells["ns_empirical"], cells["ns_empirical_se"] = saved.value, saved.se
     if "nt_analytic" in wanted:
-        total = expected_transmissions(cfg, max(spec.n_trials, 1000), spec.seed).total
-        cells["nt_analytic"], cells["nt_analytic_se"] = total.value, total.se
+        est = expected_transmissions(cfg, max(spec.n_trials, 1000), spec.seed)
+        cells["nt_analytic"], cells["nt_analytic_se"] = est.value, est.se
     if wanted & {"ns_lb", "ns_ub"} and cfg.n_sensors >= 2:
         bounds = transmission_savings_bounds(cfg)
         cells["ns_lb"], cells["ns_ub"] = bounds.lb_saved, bounds.ub_saved

@@ -125,8 +125,8 @@ def test_criterion_04_expected_transmissions_consistency():
         )
         est = expected_transmissions(cfg, 100_000, seed=41)
         batch = run_batch(cfg, 100_000, seed=42)
-        combined = math.hypot(est.total.se, batch.mean_stop_k.se)
-        z = abs(est.total.value - batch.mean_stop_k.value) / combined
+        combined = math.hypot(est.se, batch.mean_stop_k.se)
+        z = abs(est.value - batch.mean_stop_k.value) / combined
         worst_z = max(worst_z, z)
     elapsed = time.time() - t0
     ok = worst_z <= 3.0 and elapsed < 300
@@ -151,12 +151,12 @@ def test_criterion_04_expected_transmissions_at_large_n():
             )
             est = expected_transmissions(cfg, 20_000, seed=43)
             batch = run_batch(cfg, 20_000, seed=44)
-            combined = math.hypot(est.total.se, batch.mean_stop_k.se)
-            worst_z = max(worst_z, abs(est.total.value - batch.mean_stop_k.value) / combined)
+            combined = math.hypot(est.se, batch.mean_stop_k.se)
+            worst_z = max(worst_z, abs(est.value - batch.mean_stop_k.value) / combined)
             if n == 300:
                 rep = transmission_savings_bounds(cfg)
-                saved = n - est.total.value
-                slack = 3 * est.total.se
+                saved = n - est.value
+                slack = 3 * est.se
                 if not rep.lb_saved - slack <= saved <= rep.ub_saved + slack:
                     outside.append((d, rep.lb_saved, saved, rep.ub_saved))
     elapsed = time.time() - t0

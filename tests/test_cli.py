@@ -69,6 +69,13 @@ class TestSingleConfigCommands:
             assert "finite" in err
             assert "nan" not in out
 
+    def test_llr_variance_underflow_exits_2(self, capsys):
+        for command in ("pe", "dc", "bounds"):
+            code, out, err = run_cli(capsys, command, "--s", "1e-200")
+            assert code == 2, command
+            assert "underflow" in err and "s=1e-200, sigma2=1.0" in err
+            assert out == ""
+
     def test_dc_n_scaled_overflow_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "dc", "--D", "1e150", "--alpha0", "0.3", "--N", "1000000")
         assert code == 2
@@ -480,7 +487,7 @@ def test_cli_import_skips_slow_scipy_subpackages():
     assert proc.stdout.strip() == ""
 
 
-def test_benchmark_tracer_targets_exist():
+def test_benchmark_tracer_targets_exist(tmp_path):
     # perfbench/spans.py traces a run by replacing otdetect.<module>.<name>
     # attributes; a driver refactor that drops one of those imports would
     # break the traced benchmark run.
@@ -493,3 +500,22 @@ def test_benchmark_tracer_targets_exist():
         module_name, name = target.split(".")
         module = importlib.import_module(f"otdetect.{module_name}")
         assert callable(getattr(module, name, None)), target
+    # Each span extractor reads fields off the result of the function it
+    # wraps: run it on a real result, called as the calling module calls it.
+    cfg = otdetect.ModelConfig(n_sensors=4, signal=2.0, byz_frac=0.25, attack_strength=1.0)
+    spec = otdetect.SweepSpec(
+        base=cfg, sweep_param="D", grid=(0.0, 1.0), metrics=("nt_analytic",), n_trials=20
+    )
+    sweep_result = otdetect.run_sweep(spec)
+    calls = {
+        "sweep.run_batch": (cfg, 20, 1),
+        "sweep.expected_transmissions": (cfg, 1000, 1),
+        "cli.run_sweep": (spec, 1),
+        "cli.emit_csv": (sweep_result, tmp_path / "out.csv"),
+    }
+    assert set(calls) == set(spans.ATTRS)
+    for target, args in calls.items():
+        module_name, name = target.split(".")
+        fn = getattr(importlib.import_module(f"otdetect.{module_name}"), name)
+        attrs = spans.ATTRS[target](args, {}, fn(*args))
+        assert attrs and all(isinstance(v, int | float) for v in attrs.values()), target

@@ -263,6 +263,19 @@ class TestModelConfigValidation:
         with pytest.raises(ValueError):
             ModelConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n_sensors=3, signal=1e-160, noise_var=1e160),
+            dict(n_sensors=3, signal=1e-200),
+            dict(n_sensors=3, signal=1e-10, noise_var=1e308, byz_frac=0.3, attack_strength=1.0),
+        ],
+    )
+    def test_llr_variance_underflow_names_parameters(self, kwargs):
+        # s^2/sigma^2 underflows to 0; the message names the user's parameters.
+        with pytest.raises(ValueError, match=r"underflow.*\(s=.*, sigma2=.*\)"):
+            ModelConfig(**kwargs)
+
     def test_accepts_numpy_integer_sensor_count(self):
         n = ModelConfig(n_sensors=np.int64(5), signal=1.0).n_sensors
         assert n == 5 and type(n) is int
