@@ -28,17 +28,20 @@ from .sweep import (
     summarize,
 )
 
-_DEFAULTS = {
-    "N": 10,
-    "s": 3.0,
-    "sigma2": 1.0,
-    "alpha0": 0.0,
-    "D": 0.0,
-    "prior_h1": 0.5,
-    "trials": 10_000,
-    "seed": 0,
+# Every setting a command can read: key -> (type, default, help).  The CLI flag
+# is "--" + key with "_" as "-"; a config file uses the key itself.
+_SETTINGS = {
+    "N": (int, 10, "number of sensors"),
+    "s": (float, 3.0, "signal strength"),
+    "sigma2": (float, 1.0, "noise variance"),
+    "alpha0": (float, 0.0, "compromised fraction"),
+    "D": (float, 0.0, "attack strength"),
+    "prior_h1": (float, 0.5, "prior of H1"),
+    "trials": (int, 10_000, "Monte-Carlo trials per grid point"),
+    "seed": (int, 0, "base random seed (64-bit)"),
 }
-_INT_KEYS = {"N", "trials", "seed"}
+_MODEL = tuple(PARAM_FIELDS)
+_MC = ("trials", "seed")
 
 
 def _read_config_file(path: str) -> dict:
@@ -55,47 +58,32 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise SpecError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = (part.strip() for part in line.partition("="))
-        if key not in _DEFAULTS:
+        if key not in _SETTINGS:
             raise SpecError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = int(val) if key in _INT_KEYS else float(val)
+            values[key] = _SETTINGS[key][0](val)
         except ValueError as exc:
             raise SpecError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
     return values
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="PATH", help="key = value config file")
-    p.add_argument("--N", type=int, help="number of sensors")
-    p.add_argument("--s", type=float, help="signal strength")
-    p.add_argument("--sigma2", type=float, help="noise variance")
-    p.add_argument("--alpha0", type=float, help="compromised fraction")
-    p.add_argument("--D", type=float, help="attack strength")
-    p.add_argument("--prior-h1", dest="prior_h1", type=float, help="prior of H1")
-    p.add_argument("--seed", type=int, help="base random seed (64-bit)")
-    p.add_argument("--trials", type=int, help="Monte-Carlo trials per grid point")
-    p.add_argument("--out", metavar="PATH", help="output CSV path (or stem for presets)")
-    p.add_argument("--paper-scale", action="store_true", help="full-size N for presets")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="processes a sweep's grid points are split over (>= 1; capped by the grid "
-        "length and the usable CPUs); the output is the same at every count",
-    )
+def _settings(args: argparse.Namespace, **defaults) -> dict:
+    """Defaults < config file < CLI, over the settings ``args.reads`` of the command.
 
-
-def _settings(args: argparse.Namespace, defaults: dict = _DEFAULTS) -> dict:
-    values = dict(defaults)
-    if args.config:
-        values.update(_read_config_file(args.config))
-    for key in defaults:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            values[key] = cli_val
-    if args.workers < 1:
+    A config-file key the command does not read is refused, and so is a base
+    value for the parameter a sweep sets from its grid.
+    """
+    given = _read_config_file(args.config) if args.config else {}
+    given |= {key: getattr(args, key) for key in args.reads if getattr(args, key) is not None}
+    unused = [key for key in given if key not in args.reads]
+    if unused:
+        raise SpecError(f"{args.command} does not use {', '.join(unused)}")
+    swept = getattr(args, "param", None)
+    if swept in given:
+        raise SpecError(f"sweep --param {swept} sets {swept} from --grid; do not set it")
+    if getattr(args, "workers", 1) < 1:
         raise SpecError(f"--workers must be >= 1, got {args.workers}")
-    return values
+    return {key: default for key, (_, default, _) in _SETTINGS.items()} | defaults | given
 
 
 def _model_config(values: dict) -> ModelConfig:
@@ -123,12 +111,6 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise SpecError(f"bad grid list {text!r}") from exc
 
 
-def _print_kv(pairs: list[tuple[str, object]]) -> None:
-    width = max(len(k) for k, _ in pairs)
-    for k, v in pairs:
-        print(f"{k.ljust(width)}  {v}")
-
-
 def _check_writable(path: Path) -> None:
     """Raise OSError (exit 3) now if ``path`` cannot be written later."""
     parent = path.parent
@@ -141,75 +123,48 @@ def _check_writable(path: Path) -> None:
         raise OSError(f"cannot write {path}: permission denied")
 
 
-def _write_single_row(columns: list[str], row: list[float | None], out: str) -> None:
-    result = SweepResult(columns=tuple(columns), rows=(tuple(row),), provenance={})
-    emit_csv(result, out)
-
-
-def _cmd_dc(args: argparse.Namespace) -> int:
-    cfg = _model_config(_settings(args))
-    a = deflection_coefficient(cfg)
-    d_star = f"{a.d_star!r}" if cfg.byz_frac > 0 else "NA (no compromised sensors)"
-    _print_kv(
-        [
-            ("dc", a.dc),
-            ("mean_z_h1", a.mean_z_h1),
-            ("mean_z_h0", a.mean_z_h0),
-            ("var_z_h0", a.var_z_h0),
-            ("d_star", d_star),
-        ]
-    )
-    if args.out:
-        _write_single_row(
-            ["dc", "mean_z_h1", "mean_z_h0", "var_z_h0", "d_star"],
-            [a.dc, a.mean_z_h1, a.mean_z_h0, a.var_z_h0, a.d_star if cfg.byz_frac > 0 else None],
-            args.out,
-        )
-    return 0
-
-
-def _cmd_pe(args: argparse.Namespace) -> int:
-    cfg = _model_config(_settings(args))
-    probs = analytic_error_probs(cfg)
-    _print_kv(
-        [
-            ("p_d", probs.p_d),
-            ("p_f", probs.p_f),
-            ("p_e", probs.p_e),
-            ("threshold", probs.threshold),
-        ]
-    )
-    if args.out:
-        _write_single_row(
-            ["p_d", "p_f", "p_e", "threshold"],
-            [probs.p_d, probs.p_f, probs.p_e, probs.threshold],
-            args.out,
-        )
-    return 0
-
-
-def _cmd_bounds(args: argparse.Namespace) -> int:
+def _cmd_point(args: argparse.Namespace) -> int:
+    """Evaluate one config: print its ``key  value`` table, then write a one-row CSV."""
     values = _settings(args)
     cfg = _model_config(values)
     if args.out:
         _check_writable(Path(args.out))
+    pairs, row = args.evaluate(args, values, cfg)
+    width = max(len(k) for k, _ in pairs)
+    for k, v in pairs:
+        print(f"{k.ljust(width)}  {v}")
+    if args.out:
+        emit_csv(SweepResult(columns=tuple(row), rows=(tuple(row.values()),)), args.out)
+    return 0
+
+
+def _dc(args: argparse.Namespace, values: dict, cfg: ModelConfig) -> tuple[list, dict]:
+    a = deflection_coefficient(cfg)
+    d_star = a.d_star if cfg.byz_frac > 0 else None
+    row = {"dc": a.dc, "mean_z_h1": a.mean_z_h1, "mean_z_h0": a.mean_z_h0,
+           "var_z_h0": a.var_z_h0, "d_star": d_star}
+    shown = {**row, "d_star": "NA (no compromised sensors)" if d_star is None else d_star}
+    return list(shown.items()), row
+
+
+def _pe(args: argparse.Namespace, values: dict, cfg: ModelConfig) -> tuple[list, dict]:
+    probs = analytic_error_probs(cfg)
+    row = {"p_d": probs.p_d, "p_f": probs.p_f, "p_e": probs.p_e, "threshold": probs.threshold}
+    return list(row.items()), row
+
+
+def _bounds(args: argparse.Namespace, values: dict, cfg: ModelConfig) -> tuple[list, dict]:
     report = transmission_savings_bounds(
         cfg, mode=args.mode, n_samples=max(values["trials"], 1000), seed=values["seed"]
     )
-    _print_kv(
-        [
-            ("mode", report.mode),
-            ("lb_saved", report.lb_saved),
-            ("ub_saved", report.ub_saved),
-            ("lb_saved_frac", report.lb_saved / cfg.n_sensors),
-            ("ub_saved_frac", report.ub_saved / cfg.n_sensors),
-        ]
-    )
-    if args.out:
-        _write_single_row(
-            ["lb_saved", "ub_saved"], [report.lb_saved, report.ub_saved], args.out
-        )
-    return 0
+    pairs = [
+        ("mode", report.mode),
+        ("lb_saved", report.lb_saved),
+        ("ub_saved", report.ub_saved),
+        ("lb_saved_frac", report.lb_saved / cfg.n_sensors),
+        ("ub_saved_frac", report.ub_saved / cfg.n_sensors),
+    ]
+    return pairs, {"lb_saved": report.lb_saved, "ub_saved": report.ub_saved}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -234,13 +189,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_preset(args: argparse.Namespace) -> int:
     # Unless the CLI or the config file sets trials, the preset's own default applies.
-    # The preset fixes the model, so its parameters must be set by neither.
-    values = _settings(args, {**_DEFAULTS, **dict.fromkeys(PARAM_FIELDS), "trials": None})
-    fixed = [key for key in PARAM_FIELDS if values[key] is not None]
-    if fixed:
-        raise SpecError(
-            f"preset {args.name} fixes the model parameters; do not set {', '.join(fixed)}"
-        )
+    values = _settings(args, trials=None)
     pairs = preset_specs(
         args.name, paper_scale=args.paper_scale, n_trials=values["trials"], seed=values["seed"]
     )
@@ -264,32 +213,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="evaluate metrics over a parameter grid")
-    _add_common_flags(p_sweep)
+    def command(name: str, help_text: str, reads: tuple[str, ...], **defaults):
+        # No abbreviations: preset's --seed would otherwise take a model flag --s.
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.add_argument("--config", metavar="PATH", help="key = value config file")
+        for key in reads:
+            kind, _, text = _SETTINGS[key]
+            p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
+        p.add_argument("--out", metavar="PATH", help="output CSV path (or stem for presets)")
+        p.set_defaults(reads=reads, **defaults)
+        return p
+
+    p_sweep = command("sweep", "evaluate metrics over a parameter grid", _MODEL + _MC,
+                      func=_cmd_sweep)
     p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p_sweep.add_argument("--grid", required=True, help="start:stop:step or v1,v2,...")
     p_sweep.add_argument(
         "--metrics", required=True, help="comma list from: " + ",".join(METRICS)
     )
-    p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_preset = sub.add_parser("preset", help="run a canned figure-style sweep")
+    p_preset = command("preset", "run a canned figure-style sweep", _MC, func=_cmd_preset)
     p_preset.add_argument("name", choices=PRESET_NAMES)
-    _add_common_flags(p_preset)
-    p_preset.set_defaults(func=_cmd_preset)
+    p_preset.add_argument("--paper-scale", action="store_true", help="full-size N for presets")
 
-    p_dc = sub.add_parser("dc", help="deflection coefficient and blinding strength")
-    _add_common_flags(p_dc)
-    p_dc.set_defaults(func=_cmd_dc)
+    for p in (p_sweep, p_preset):
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="processes a sweep's grid points are split over (>= 1; capped by the grid "
+            "length and the usable CPUs); the output is the same at every count",
+        )
 
-    p_pe = sub.add_parser("pe", help="analytic detection/error probabilities")
-    _add_common_flags(p_pe)
-    p_pe.set_defaults(func=_cmd_pe)
-
-    p_bounds = sub.add_parser("bounds", help="bounds on expected transmissions saved")
-    _add_common_flags(p_bounds)
+    command("dc", "deflection coefficient and blinding strength", _MODEL,
+            func=_cmd_point, evaluate=_dc)
+    command("pe", "analytic detection/error probabilities", _MODEL,
+            func=_cmd_point, evaluate=_pe)
+    p_bounds = command("bounds", "bounds on expected transmissions saved", _MODEL + _MC,
+                       func=_cmd_point, evaluate=_bounds)
     p_bounds.add_argument("--mode", choices=("population", "empirical"), default="population")
-    p_bounds.set_defaults(func=_cmd_bounds)
 
     return parser
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config precedence, exit codes, import cost."""
 
+import argparse
 import importlib
 import importlib.util
 import math
@@ -12,7 +13,7 @@ import pytest
 
 import otdetect
 from otdetect import SpecError, load_csv, preset_specs, sweep
-from otdetect.cli import main
+from otdetect.cli import build_parser, main
 from test_sweep import assert_no_child_left
 
 
@@ -87,6 +88,25 @@ class TestSingleConfigCommands:
         )
         assert code == 2
         assert "N-scaled" in err
+
+    @pytest.mark.parametrize(
+        "command,computes",
+        [
+            ("pe", "analytic_error_probs"),
+            ("dc", "deflection_coefficient"),
+            ("bounds", "transmission_savings_bounds"),
+        ],
+    )
+    def test_unwritable_out_fails_before_computing(
+        self, capsys, tmp_path, monkeypatch, command, computes
+    ):
+        def not_called(*args, **kwargs):
+            raise AssertionError(f"{command} computed before the --out check")
+
+        monkeypatch.setattr(f"otdetect.cli.{computes}", not_called)
+        code, out, err = run_cli(capsys, command, "--out", str(tmp_path / "missing" / "x.csv"))
+        assert (code, out) == (3, "")
+        assert "does not exist" in err
 
     def test_bounds_empirical_mode(self, capsys):
         code, out, _ = run_cli(
@@ -199,6 +219,20 @@ class TestSweepCommand:
             code, _, err = run_cli(capsys, "preset", "fig1a", "--seed", seed)
             assert code == 2
 
+    def test_swept_parameter_base_value_exits_2(self, capsys, tmp_path, monkeypatch):
+        def not_called(*args, **kwargs):
+            raise AssertionError("the grid was computed over a base value of its parameter")
+
+        monkeypatch.setattr("otdetect.cli.run_sweep", not_called)
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("D = 4\n")
+        for flags in (("--D", "4"), ("--config", str(cfg))):
+            code, out, err = run_cli(
+                capsys, "sweep", "--param", "D", "--grid", "0:2:1", "--metrics", "dc", *flags
+            )
+            assert (code, out) == (2, ""), flags
+            assert "--param D" in err and "do not set it" in err
+
     def test_unwritable_out_fails_before_computing(self, capsys, tmp_path, monkeypatch):
         def not_called(*args, **kwargs):
             raise AssertionError("the grid was computed before the --out check")
@@ -243,6 +277,21 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "pe", "--config", str(cfg))
         assert code == 2
         assert "bogus" in err
+
+    @pytest.mark.parametrize(
+        "argv,text,unused",
+        [
+            (["pe"], "trials = 5\n", "pe does not use trials"),
+            (["dc"], "N = 20\nseed = 3\ntrials = 5\n", "dc does not use seed, trials"),
+            (["preset", "fig1a"], "s = 2\nseed = 3\n", "preset does not use s"),
+        ],
+    )
+    def test_key_the_command_does_not_read_exits_2(self, capsys, tmp_path, argv, text, unused):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert unused in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "pe", "--config", "/no/such/file.cfg")
@@ -325,11 +374,11 @@ class TestPresetCommand:
             raise AssertionError("a curve was computed before the parameter check")
 
         monkeypatch.setattr("otdetect.cli.run_sweep", not_called)
-        code, out, err = run_cli(
-            capsys, "preset", "fig1a", "--N", "50", "--alpha0", "0.9", "--trials", "20"
-        )
-        assert (code, out) == (2, "")
-        assert "N, alpha0" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["preset", "fig1a", "--N", "50", "--alpha0", "0.9", "--trials", "20"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "--N 50 --alpha0 0.9" in captured.err
         cfg = tmp_path / "model.cfg"
         cfg.write_text("D = 1\nprior_h1 = 0.3\ntrials = 20\n")
         code, _, err = run_cli(capsys, "preset", "fig2", "--config", str(cfg))
@@ -339,6 +388,49 @@ class TestPresetCommand:
     def test_unknown_preset_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit):
             main(["preset", "fig9"])  # argparse rejects the choice
+
+
+_COMMON = {"-h", "--help", "--config", "--out"}
+_MODEL = {"--N", "--s", "--sigma2", "--alpha0", "--D", "--prior-h1"}
+_MC = {"--trials", "--seed"}
+_FLAGS = {
+    "pe": _COMMON | _MODEL,
+    "dc": _COMMON | _MODEL,
+    "bounds": _COMMON | _MODEL | _MC | {"--mode"},
+    "sweep": _COMMON | _MODEL | _MC | {"--workers", "--param", "--grid", "--metrics"},
+    "preset": _COMMON | _MC | {"--workers", "--paper-scale"},
+}
+
+
+class TestFlags:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        (subparsers,) = (
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        flags = {
+            name: {s for action in p._actions for s in action.option_strings}
+            for name, p in subparsers.choices.items()
+        }
+        assert flags == _FLAGS
+
+    @pytest.mark.parametrize(
+        "argv,refused",
+        [
+            (["pe", "--trials", "-3"], "--trials -3"),
+            (["dc", "--seed", "3", "--workers", "2"], "--seed 3 --workers 2"),
+            (["bounds", "--workers", "4"], "--workers 4"),
+            (["sweep", "--param", "D", "--grid", "0:2:1", "--metrics", "dc", "--paper-scale"],
+             "--paper-scale"),
+            # Not an abbreviation of preset's --seed.
+            (["preset", "fig1a", "--s", "3"], "--s 3"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, argv, refused):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert f"unrecognized arguments: {refused}" in captured.err
 
 
 @pytest.fixture
