@@ -1,7 +1,8 @@
 """Closed-form and semi-analytic performance of the OT fusion rule.
 
-Three routes to the system's behaviour that are independent of the trial
-simulator in :mod:`otdetect.protocol`, and so cross-checkable against it:
+Three analytic routes to the system's behaviour.  None draws a random
+number, so each is independent of the trial simulator in
+:mod:`otdetect.protocol` and cross-checkable against it:
 
 * exact detection/false-alarm/error probabilities of the full-sum test
   (a binomial mixture of Gaussian tails over the compromised-sensor count);
@@ -28,7 +29,6 @@ from .core import (
     population_moments,
     q_function,
 )
-from .protocol import RngSpec
 
 __all__ = [
     "ErrorProbabilities",
@@ -56,18 +56,10 @@ class ErrorProbabilities:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Upper/lower bounds on the expected number of transmissions saved.
+    """Upper/lower bounds on the expected number of transmissions saved."""
 
-    ``g_lower_per_k``/``g_upper_per_k`` hold the partial-sum envelopes used
-    at each prefix length k, one column per hypothesis (H0, H1).
-    """
-
-    k_grid: np.ndarray
     lb_saved: float
     ub_saved: float
-    g_lower_per_k: np.ndarray
-    g_upper_per_k: np.ndarray
-    mode: str
 
 
 def analytic_error_probs(config: ModelConfig) -> ErrorProbabilities:
@@ -168,13 +160,8 @@ def _envelope_radius(n: int, k: int | np.ndarray, v: float | np.ndarray):
     return np.sqrt(k * (n - k) / n * (n - 1) * v)
 
 
-def transmission_savings_bounds(
-    config: ModelConfig,
-    mode: str = "population",
-    n_samples: int = 20_000,
-    seed: int = 0,
-) -> BoundsReport:
-    """Bounds on the expected number of transmissions the OT scheme saves.
+def transmission_savings_bounds(config: ModelConfig) -> BoundsReport:
+    """Population bounds on the expected number of transmissions the OT scheme saves.
 
     The head sum of the k largest-magnitude LLRs is bracketed by
     g_L <= sum <= g_U (Cauchy-Schwarz around the sample mean), which turns
@@ -184,72 +171,34 @@ def transmission_savings_bounds(
       or g_U clears it downward;
     * upper bound: stopping implies g_U clears upward or g_L downward.
 
-    ``mode="population"`` substitutes the per-sensor population mean and
-    (N/(N-1))-scaled variance into the envelope and evaluates each
-    threshold event on the k-th largest magnitude by the binomial identity
-    (see :func:`abs_order_stat_cdf`), for all k at once.
-    ``mode="empirical"`` redraws the envelope from each simulated
-    realization's sample mean/variance and counts events directly.
+    The envelope takes the per-sensor population mean and
+    (N/(N-1))-scaled variance, and each threshold event on the k-th
+    largest magnitude is evaluated by the binomial identity (see
+    :func:`abs_order_stat_cdf`), for all k at once.  The per-realization
+    envelope is :func:`otdetect.protocol.empirical_savings_bounds`.
     """
     n = config.n_sensors
     if n < 2:
         raise ValueError("bounds need at least 2 sensors")
-    if mode not in ("population", "empirical"):
-        raise ValueError(f"unknown mode {mode!r}")
     lam = config.threshold
     priors = {Hypothesis.H0: config.prior_h0, Hypothesis.H1: config.prior_h1}
     ks = np.arange(1, n)
-    g_lower = np.zeros((n - 1, 2))
-    g_upper = np.zeros((n - 1, 2))
+    n_rem = n - ks
+    mom = population_moments(config)
     lb = 0.0
     ub = 0.0
+    for h in (Hypothesis.H0, Hypothesis.H1):
+        mix = llr_mixture(config, h)
+        delta = mom.mean(h)
+        rad = _envelope_radius(n, ks, n / (n - 1) * mom.var(h))
+        g_u = rad + ks * delta
+        g_l = -rad + ks * delta
 
-    if mode == "population":
-        mom = population_moments(config)
-        n_rem = n - ks
-        for h in (Hypothesis.H0, Hypothesis.H1):
-            mix = llr_mixture(config, h)
-            delta = mom.mean(h)
-            rad = _envelope_radius(n, ks, n / (n - 1) * mom.var(h))
-            g_u = rad + ks * delta
-            g_l = -rad + ks * delta
-            g_upper[:, int(h)] = g_u
-            g_lower[:, int(h)] = g_l
+        def cdf(w):
+            return _order_stat_cdf(mix, n, ks, w / n_rem)
 
-            def cdf(w):
-                return _order_stat_cdf(mix, n, ks, w / n_rem)
-
-            ub_terms = np.maximum(cdf(g_u - lam), cdf(lam - g_l))
-            lb_terms = cdf(g_l - lam) + cdf(lam - g_u)
-            ub += priors[h] * float(ub_terms.sum())
-            lb += priors[h] * float(lb_terms.sum())
-    else:
-        if n_samples < 1000:
-            raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
-        for h in (Hypothesis.H0, Hypothesis.H1):
-            mix = llr_mixture(config, h)
-            gen = RngSpec(seed, int(h)).generator()
-            draws = mix.sample(gen, n_samples * n).reshape(n_samples, n)
-            mags = np.sort(np.abs(draws), axis=1)[:, ::-1]
-            sample_mean = draws.mean(axis=1)
-            sample_var = draws.var(axis=1, ddof=1)
-            for k in ks:
-                rad = _envelope_radius(n, int(k), sample_var)
-                g_u = rad + k * sample_mean
-                g_l = -rad + k * sample_mean
-                spread = (n - int(k)) * mags[:, k - 1]
-                ub_event = (g_u > lam + spread) | (g_l < lam - spread)
-                lb_event = (g_l > lam + spread) | (g_u < lam - spread)
-                ub += priors[h] * float(ub_event.mean())
-                lb += priors[h] * float(lb_event.mean())
-                g_upper[k - 1, int(h)] = float(g_u.mean())
-                g_lower[k - 1, int(h)] = float(g_l.mean())
-
-    return BoundsReport(
-        k_grid=ks,
-        lb_saved=lb,
-        ub_saved=ub,
-        g_lower_per_k=g_lower,
-        g_upper_per_k=g_upper,
-        mode=mode,
-    )
+        ub_terms = np.maximum(cdf(g_u - lam), cdf(lam - g_l))
+        lb_terms = cdf(g_l - lam) + cdf(lam - g_u)
+        ub += priors[h] * float(ub_terms.sum())
+        lb += priors[h] * float(lb_terms.sum())
+    return BoundsReport(lb_saved=lb, ub_saved=ub)

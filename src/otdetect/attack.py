@@ -29,17 +29,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AttackAssessment:
-    """Deflection coefficient of the N-sensor LLR sum and the blinding strength.
-
-    ``d_star`` is infinite when no sensor is compromised (no finite attack
-    strength can blind the fusion center).
-    """
+    """Deflection coefficient of the N-sensor LLR sum and the moments it is made of."""
 
     dc: float
     mean_z_h1: float
     mean_z_h0: float
     var_z_h0: float
-    d_star: float
 
 
 class ByzFraction(NamedTuple):
@@ -77,12 +72,7 @@ def deflection_coefficient(config: ModelConfig) -> AttackAssessment:
             f"deflection coefficient overflows at N = {n}: the N-scaled LLR moments "
             "or their squared separation are not finite"
         )
-    d_star = (
-        config.signal / (2.0 * config.byz_frac) if config.byz_frac > 0.0 else float("inf")
-    )
-    return AttackAssessment(
-        dc=dc, mean_z_h1=mean_h1, mean_z_h0=mean_h0, var_z_h0=var_h0, d_star=d_star
-    )
+    return AttackAssessment(dc=dc, mean_z_h1=mean_h1, mean_z_h0=mean_h0, var_z_h0=var_h0)
 
 
 def optimal_attack_strength(config: ModelConfig) -> float:

@@ -12,8 +12,9 @@ import sys
 from pathlib import Path
 
 from .analysis import analytic_error_probs, transmission_savings_bounds
-from .attack import deflection_coefficient
+from .attack import deflection_coefficient, optimal_attack_strength
 from .core import ModelConfig
+from .protocol import empirical_savings_bounds
 from .sweep import (
     METRICS,
     PARAM_FIELDS,
@@ -140,7 +141,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 def _dc(args: argparse.Namespace, values: dict, cfg: ModelConfig) -> tuple[list, dict]:
     a = deflection_coefficient(cfg)
-    d_star = a.d_star if cfg.byz_frac > 0 else None
+    d_star = optimal_attack_strength(cfg) if cfg.byz_frac > 0 else None
     row = {"dc": a.dc, "mean_z_h1": a.mean_z_h1, "mean_z_h0": a.mean_z_h0,
            "var_z_h0": a.var_z_h0, "d_star": d_star}
     shown = {**row, "d_star": "NA (no compromised sensors)" if d_star is None else d_star}
@@ -154,11 +155,12 @@ def _pe(args: argparse.Namespace, values: dict, cfg: ModelConfig) -> tuple[list,
 
 
 def _bounds(args: argparse.Namespace, values: dict, cfg: ModelConfig) -> tuple[list, dict]:
-    report = transmission_savings_bounds(
-        cfg, mode=args.mode, n_samples=max(values["trials"], 1000), seed=values["seed"]
-    )
+    if args.mode == "empirical":
+        report = empirical_savings_bounds(cfg, max(values["trials"], 1000), values["seed"])
+    else:
+        report = transmission_savings_bounds(cfg)
     pairs = [
-        ("mode", report.mode),
+        ("mode", args.mode),
         ("lb_saved", report.lb_saved),
         ("ub_saved", report.ub_saved),
         ("lb_saved_frac", report.lb_saved / cfg.n_sensors),
@@ -221,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
             kind, _, text = _SETTINGS[key]
             p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
         p.add_argument("--out", metavar="PATH", help="output CSV path (or stem for presets)")
-        p.set_defaults(reads=reads, **defaults)
+        p.set_defaults(reads=reads, parser=p, **defaults)
         return p
 
     p_sweep = command("sweep", "evaluate metrics over a parameter grid", _MODEL + _MC,
@@ -261,7 +263,10 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args, extra = _parser().parse_known_args(argv)
+    if extra:
+        # Refused through the subcommand's parser, so the usage shown is its own.
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (SpecError, ValueError, OverflowError) as exc:

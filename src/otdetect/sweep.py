@@ -36,6 +36,7 @@ __all__ = [
     "summarize",
     "preset_specs",
     "PRESET_NAMES",
+    "METRICS",
 ]
 
 # Parameter names of the CLI and of sweeps -> the ModelConfig fields they set.

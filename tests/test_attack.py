@@ -21,7 +21,6 @@ class TestDeflectionCoefficient:
         assert a.mean_z_h1 - a.mean_z_h0 == pytest.approx(10.0)
         assert a.var_z_h0 == pytest.approx(10.0)
         assert a.dc == pytest.approx(10.0)
-        assert a.d_star == float("inf")
 
     def test_blinding_strength_zeroes_dc(self):
         cfg = ModelConfig(

@@ -432,6 +432,22 @@ class TestFlags:
         assert (exc.value.code, captured.out) == (2, "")
         assert f"unrecognized arguments: {refused}" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv,refused",
+        [
+            (["pe", "--trials", "-3"], "--trials -3"),
+            (["dc", "--seed", "3"], "--seed 3"),
+            (["preset", "fig2", "--N", "50"], "--N 50"),
+        ],
+    )
+    def test_refused_flag_shows_the_command_usage(self, capsys, argv, refused):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith(f"usage: otdetect {argv[0]} ")
+        assert f"otdetect {argv[0]}: error: unrecognized arguments: {refused}\n" in err
+
 
 @pytest.fixture
 def two_cpus(monkeypatch):
@@ -577,6 +593,13 @@ def test_cli_import_skips_slow_scipy_subpackages():
         env=subprocess_env(),
     )
     assert proc.stdout.strip() == ""
+
+
+def test_public_names_resolve_once():
+    names = otdetect.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(otdetect, name), name
 
 
 def test_benchmark_tracer_targets_exist(tmp_path):
