@@ -193,12 +193,14 @@ def transmission_savings_bounds(config: ModelConfig) -> BoundsReport:
         rad = _envelope_radius(n, ks, n / (n - 1) * mom.var(h))
         g_u = rad + ks * delta
         g_l = -rad + ks * delta
-
-        def cdf(w):
-            return _order_stat_cdf(mix, n, ks, w / n_rem)
-
-        ub_terms = np.maximum(cdf(g_u - lam), cdf(lam - g_l))
-        lb_terms = cdf(g_l - lam) + cdf(lam - g_u)
+        # The four events are the CDF at +-(g_U - lam) / n_rem and
+        # +-(lam - g_L) / n_rem.  The CDF is 0 at w <= 0 and the two offsets
+        # sum to 2 rad >= 0, so each offset needs the CDF at its magnitude
+        # only: a positive one feeds the upper bound, a negative one the lower.
+        offsets = np.stack([g_u - lam, lam - g_l])
+        cdf = _order_stat_cdf(mix, n, ks, np.abs(offsets) / n_rem)
+        ub_terms = np.where(offsets > 0, cdf, 0.0).max(axis=0)
+        lb_terms = np.where(offsets < 0, cdf, 0.0).sum(axis=0)
         ub += priors[h] * float(ub_terms.sum())
         lb += priors[h] * float(lb_terms.sum())
     return BoundsReport(lb_saved=lb, ub_saved=ub)

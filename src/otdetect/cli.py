@@ -156,7 +156,9 @@ def _pe(args: argparse.Namespace, values: dict, cfg: ModelConfig) -> tuple[list,
 
 def _bounds(args: argparse.Namespace, values: dict, cfg: ModelConfig) -> tuple[list, dict]:
     if args.mode == "empirical":
-        report = empirical_savings_bounds(cfg, max(values["trials"], 1000), values["seed"])
+        if values["trials"] < 1000:
+            raise SpecError(f"--mode empirical needs --trials >= 1000, got {values['trials']}")
+        report = empirical_savings_bounds(cfg, values["trials"], values["seed"])
     else:
         report = transmission_savings_bounds(cfg)
     pairs = [

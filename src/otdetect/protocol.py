@@ -29,7 +29,9 @@ __all__ = [
     "stopping_rule",
     "partial_sum_bounds",
     "run_batch",
+    "run_batches",
     "expected_transmissions",
+    "expected_transmissions_each",
     "empirical_savings_bounds",
 ]
 
@@ -306,37 +308,54 @@ def draw_trial(config: ModelConfig, truth: Hypothesis, rng: RngSpec) -> TrialRec
 
 
 def _stop_counts(
-    config: ModelConfig,
+    configs: Sequence[ModelConfig],
     h1: np.ndarray,
     fill: Callable[[int, np.ndarray, np.ndarray], None],
-) -> tuple[int, float, float]:
+) -> list[tuple[int, float, float]]:
     """Run one trial per entry of ``h1`` through :func:`_simulate`, in blocks of rows.
 
     ``fill(start, uniforms, normals)`` writes the raw variates of trials
-    ``start``, ``start + 1``, ... into a block's (m, N) buffers.  Returns the
-    number of wrong decisions, and the mean stop time with its SE, reduced
-    from exact integer counts of the stop times.
+    ``start``, ``start + 1``, ... into a block's (m, N) buffers.  Each block
+    is drawn once and simulated under every config of ``configs``, which
+    share ``n_sensors``.  Returns, per config, the number of wrong
+    decisions, and the mean stop time with its SE, reduced from exact
+    integer counts of the stop times.
     """
     n_trials = len(h1)
-    n = config.n_sensors
+    n = configs[0].n_sensors
     rows = min(n_trials, max(1, _BLOCK_ELEMENTS // n))
     uniforms = np.empty((rows, n))
     normals = np.empty((rows, n))
-    errors = 0
-    counts = np.zeros(n + 1, dtype=np.int64)
+    errors = [0] * len(configs)
+    counts = np.zeros((len(configs), n + 1), dtype=np.int64)
     for start in range(0, n_trials, rows):
         m = min(rows, n_trials - start)
         fill(start, uniforms[:m], normals[:m])
         truth = h1[start : start + m]
-        _, _, stop_k, decide_h1, _ = _simulate(config, truth, uniforms[:m], normals[:m])
-        errors += int(np.count_nonzero(decide_h1 != truth))
-        counts += np.bincount(stop_k, minlength=n + 1)
+        for j, config in enumerate(configs):
+            _, _, stop_k, decide_h1, _ = _simulate(config, truth, uniforms[:m], normals[:m])
+            errors[j] += int(np.count_nonzero(decide_h1 != truth))
+            counts[j] += np.bincount(stop_k, minlength=n + 1)
     ks = np.arange(n + 1)
-    mean = float(counts @ ks) / n_trials
-    if n_trials < 2:
-        return errors, mean, 0.0
-    var = max(float(counts @ (ks * ks)) - n_trials * mean * mean, 0.0) / (n_trials - 1)
-    return errors, mean, math.sqrt(var / n_trials)
+    results = []
+    for wrong, count in zip(errors, counts):
+        mean = float(count @ ks) / n_trials
+        se = 0.0
+        if n_trials >= 2:
+            var = max(float(count @ (ks * ks)) - n_trials * mean * mean, 0.0) / (n_trials - 1)
+            se = math.sqrt(var / n_trials)
+        results.append((wrong, mean, se))
+    return results
+
+
+def _grouped(
+    configs: Sequence[ModelConfig], key: Callable[[ModelConfig], object]
+) -> list[tuple[list[int], list[ModelConfig]]]:
+    """``configs`` split by ``key`` into (indices, configs) pairs, in order of first appearance."""
+    groups: dict[object, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(key(config), []).append(i)
+    return [(group, [configs[i] for i in group]) for group in groups.values()]
 
 
 def run_batch(config: ModelConfig, n_trials: int, seed: int) -> BatchSummary:
@@ -349,13 +368,27 @@ def run_batch(config: ModelConfig, n_trials: int, seed: int) -> BatchSummary:
     reduction is over exact integer counts, so the summary is a pure
     function of (config, n_trials, seed).
     """
+    return run_batches([config], n_trials, seed)[0]
+
+
+def run_batches(
+    configs: Sequence[ModelConfig], n_trials: int, seed: int
+) -> list[BatchSummary]:
+    """:func:`run_batch` of every config in ``configs``, drawing shared trials once.
+
+    Returns one summary per config, in input order, each equal to
+    ``run_batch(config, n_trials, seed)``.  Configs with the same
+    ``(n_sensors, prior_h1)`` read the same trial streams and truth labels,
+    so each block of trials is drawn once and simulated under every config
+    of that group; a config that shares them with no other is a group of
+    its own.
+    """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     sampler = _StreamSampler(seed)
     # Truth labels live on stream 2^63, the first of the upper half, clear
     # of the per-trial streams (stream < 2^63 for any feasible n_trials).
-    truth_gen = RngSpec(seed, 1 << 63).generator()
-    truths = truth_gen.random(n_trials) < config.prior_h1
+    truth_uniforms = RngSpec(seed, 1 << 63).generator().random(n_trials)
 
     def fill(start: int, uniforms: np.ndarray, normals: np.ndarray) -> None:
         for r in range(len(uniforms)):
@@ -363,17 +396,23 @@ def run_batch(config: ModelConfig, n_trials: int, seed: int) -> BatchSummary:
             gen.random(out=uniforms[r])
             gen.standard_normal(out=normals[r])
 
-    errors, mean_k, se_k = _stop_counts(config, truths, fill)
-    pe = errors / n_trials
-    pe_se = math.sqrt(pe * (1.0 - pe) / n_trials)
-    return BatchSummary(
-        config=config,
-        n_trials=n_trials,
-        n_h1=int(truths.sum()),
-        pe=EstimateWithError(pe, pe_se, n_trials),
-        mean_stop_k=EstimateWithError(mean_k, se_k, n_trials),
-        mean_saved=EstimateWithError(config.n_sensors - mean_k, se_k, n_trials),
-    )
+    summaries: dict[int, BatchSummary] = {}
+    for group, members in _grouped(configs, lambda c: (c.n_sensors, c.prior_h1)):
+        truths = truth_uniforms < members[0].prior_h1
+        n_h1 = int(truths.sum())
+        counted = _stop_counts(members, truths, fill)
+        for i, config, (errors, mean_k, se_k) in zip(group, members, counted):
+            pe = errors / n_trials
+            pe_se = math.sqrt(pe * (1.0 - pe) / n_trials)
+            summaries[i] = BatchSummary(
+                config=config,
+                n_trials=n_trials,
+                n_h1=n_h1,
+                pe=EstimateWithError(pe, pe_se, n_trials),
+                mean_stop_k=EstimateWithError(mean_k, se_k, n_trials),
+                mean_saved=EstimateWithError(config.n_sensors - mean_k, se_k, n_trials),
+            )
+    return [summaries[i] for i in range(len(configs))]
 
 
 def expected_transmissions(
@@ -390,21 +429,38 @@ def expected_transmissions(
     and the stream at 2^63 for its truth labels, so the two estimates at one
     seed are independent.
     """
+    return expected_transmissions_each([config], n_samples, seed)[0]
+
+
+def expected_transmissions_each(
+    configs: Sequence[ModelConfig], n_samples: int = 100_000, seed: int = 0
+) -> list[EstimateWithError]:
+    """:func:`expected_transmissions` of every config in ``configs``, drawing shared rows once.
+
+    Returns one estimate per config, in input order, each equal to
+    ``expected_transmissions(config, n_samples, seed)``.  Configs with the
+    same ``n_sensors`` read the same rows of each hypothesis's stream, so
+    each block is drawn once and simulated under every config of that group.
+    """
     if n_samples < 1000:
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
-    means = np.empty(2)
-    ses = np.empty(2)
-    for h in (Hypothesis.H0, Hypothesis.H1):
-        gen = RngSpec(seed, (1 << 63) + 1 + int(h)).generator()
+    estimates: dict[int, EstimateWithError] = {}
+    for group, members in _grouped(configs, lambda c: c.n_sensors):
+        per_h = []
+        for h in (Hypothesis.H0, Hypothesis.H1):
+            gen = RngSpec(seed, (1 << 63) + 1 + int(h)).generator()
 
-        def fill(start: int, uniforms: np.ndarray, normals: np.ndarray) -> None:
-            gen.random(out=uniforms)
-            gen.standard_normal(out=normals)
+            def fill(start: int, uniforms: np.ndarray, normals: np.ndarray) -> None:
+                gen.random(out=uniforms)
+                gen.standard_normal(out=normals)
 
-        _, means[h], ses[h] = _stop_counts(config, np.full(n_samples, bool(h)), fill)
-    priors = np.array([config.prior_h0, config.prior_h1])
-    se = math.sqrt(float(np.sum((priors * ses) ** 2)))
-    return EstimateWithError(float(priors @ means), se, n_samples)
+            per_h.append(_stop_counts(members, np.full(n_samples, bool(h)), fill))
+        for i, config, (_, mean0, se0), (_, mean1, se1) in zip(group, members, *per_h):
+            priors = np.array([config.prior_h0, config.prior_h1])
+            mean = float(priors @ np.array([mean0, mean1]))
+            se = math.sqrt(float(np.sum((priors * np.array([se0, se1])) ** 2)))
+            estimates[i] = EstimateWithError(mean, se, n_samples)
+    return [estimates[i] for i in range(len(configs))]
 
 
 def empirical_savings_bounds(

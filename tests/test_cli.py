@@ -115,6 +115,15 @@ class TestSingleConfigCommands:
         assert code == 0
         assert "empirical" in out
 
+    @pytest.mark.parametrize("trials", ["5", "999"])
+    def test_bounds_empirical_refuses_too_few_trials(self, capsys, trials):
+        # The envelope needs 1000 samples; fewer is refused, not silently raised.
+        code, out, err = run_cli(
+            capsys, "bounds", "--N", "10", "--mode", "empirical", "--trials", trials
+        )
+        assert (code, out) == (2, "")
+        assert "--trials" in err and trials in err
+
 
 class TestSweepCommand:
     def test_sweep_writes_csv(self, capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Protocol engine: ordering, early stopping, bounds bracket, batches."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,12 @@ from otdetect import (
     ModelConfig,
     RngSpec,
     draw_trial,
+    expected_transmissions,
+    expected_transmissions_each,
     partial_sum_bounds,
     population_moments,
     run_batch,
+    run_batches,
     stopping_rule,
 )
 from otdetect.protocol import _magnitude_order, _simulate, _StreamSampler, _stop_scan
@@ -250,6 +255,89 @@ class TestRunBatch:
             rec = draw_trial(cfg, Hypothesis.H0, RngSpec(13, i))
             half += rec.stop_k <= (cfg.n_sensors + 1) // 2
         assert half / trials > 0.5
+
+
+SHARED_BASE = dict(n_sensors=10, signal=3.0, noise_var=1.0, byz_frac=0.3, attack_strength=0.0)
+# (overrides of SHARED_BASE,
+#  run_batch(cfg, 300, seed=5) as (n_h1, pe, pe SE, mean stop_k, its SE),
+#  expected_transmissions(cfg, 1000, seed=5) as (value, SE)),
+# recorded from the one-config-per-call estimators before they shared draws.
+SHARED_PINNED = [
+    ({}, (145, 0.0, 0.0, 4.883333333333334, 0.020286868708398735),
+     (4.882, 0.007719656280761052)),
+    ({"attack_strength": 2.0}, (145, 0.02, 0.00808290376865476, 5.463333333333333,
+                                0.05827286242949211), (5.4835, 0.02617341777066566)),
+    ({"attack_strength": 5.0}, (145, 0.4533333333333333, 0.028741504380843986,
+                                7.043333333333333, 0.09085477077171387),
+     (7.083500000000001, 0.03572042411140577)),
+    ({"byz_frac": 0.0}, (145, 0.0, 0.0, 4.883333333333334, 0.020286868708398735),
+     (4.882, 0.007719656280761052)),
+    ({"byz_frac": 0.5, "attack_strength": 4.0}, (145, 0.76, 0.024657656011875907,
+                                                 6.973333333333334, 0.09407098215779558),
+     (6.9535, 0.036175978928723554)),
+    ({"signal": 1.5, "attack_strength": 2.0}, (145, 0.35, 0.02753785273643051,
+                                               6.963333333333333, 0.08761656778587033),
+     (6.800000000000001, 0.0350891828167991)),
+    ({"n_sensors": 20, "attack_strength": 2.0}, (145, 0.0033333333333333335,
+                                                 0.003327773140415986, 10.003333333333334,
+                                                 0.08048048758212577),
+     (9.993500000000001, 0.03507062444124283)),
+    ({"prior_h1": 0.3, "attack_strength": 2.0}, (81, 0.016666666666666666,
+                                                 0.007391185942027817, 5.38,
+                                                 0.05789699845694337),
+     (5.4478, 0.02789127144866334)),
+    ({"n_sensors": 20, "prior_h1": 0.3}, (81, 0.0, 0.0, 8.923333333333334,
+                                          0.028961333286216594),
+     (8.943, 0.012367268466776634)),
+]
+
+
+def shared_cases():
+    """The pinned cases plus a repeated one, in a fixed shuffled order."""
+    cases = SHARED_PINNED + SHARED_PINNED[1:2]
+    random.Random(0).shuffle(cases)
+    return [(ModelConfig(**{**SHARED_BASE, **over}), b, e) for over, b, e in cases]
+
+
+def batch_fields(b):
+    return b.n_h1, b.pe.value, b.pe.se, b.mean_stop_k.value, b.mean_stop_k.se
+
+
+class TestSharedDraws:
+    # One call over a mixed grid (D, alpha0, s, a second N, a second prior)
+    # must return exactly what one call per config returned.
+    def test_run_batches_pinned(self):
+        cases = shared_cases()
+        batches = run_batches([cfg for cfg, _, _ in cases], 300, seed=5)
+        assert len(batches) == len(cases)
+        for (cfg, want, _), batch in zip(cases, batches):
+            assert batch.config == cfg
+            assert batch_fields(batch) == want
+            assert batch.mean_saved.value == cfg.n_sensors - want[3]
+            assert batch == run_batch(cfg, 300, seed=5)
+
+    def test_expected_transmissions_each_pinned(self):
+        cases = shared_cases()
+        estimates = expected_transmissions_each([cfg for cfg, _, _ in cases], 1000, seed=5)
+        assert len(estimates) == len(cases)
+        for (cfg, _, want), est in zip(cases, estimates):
+            assert (est.value, est.se, est.n_samples) == (*want, 1000)
+            assert est == expected_transmissions(cfg, 1000, seed=5)
+
+    def test_single_trial(self):
+        cfgs = [ModelConfig(**{**SHARED_BASE, "attack_strength": d}) for d in (0.0, 2.0, 5.0)]
+        got = [batch_fields(b) for b in run_batches(cfgs, 1, seed=5)]
+        assert got == [(1, 0.0, 0.0, 4.0, 0.0), (1, 0.0, 0.0, 6.0, 0.0), (1, 0.0, 0.0, 10.0, 0.0)]
+
+    def test_empty_config_list(self):
+        assert run_batches([], 100, seed=5) == []
+        assert expected_transmissions_each([], 1000, seed=5) == []
+
+    def test_budgets_checked_for_empty_list(self):
+        with pytest.raises(ValueError, match="n_trials"):
+            run_batches([], 0, seed=5)
+        with pytest.raises(ValueError, match="n_samples"):
+            expected_transmissions_each([], 999, seed=5)
 
 
 class TestStopKernel:

@@ -101,6 +101,25 @@ class TestRunSweep:
             assert run_sweep(spec, workers).rows == serial
         assert_no_child_left()
 
+    @pytest.mark.parametrize(
+        "over",
+        [
+            dict(grid=(0.0, 2.0, 4.0, 6.0)),
+            dict(sweep_param="alpha0", grid=(0.0, 0.25, 0.5, 1.0),
+                 base=BASE.replace(attack_strength=3.0, prior_h1=0.3)),
+            dict(sweep_param="N", grid=(1.0, 2.0, 5.0, 10.0)),
+        ],
+    )
+    def test_shared_draws_match_points_alone(self, monkeypatch, over):
+        # A share draws each block once for all of its points; every row must
+        # equal the row of its point evaluated on its own, at every worker count.
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 3)
+        spec = small_spec(**over, metrics=sweep.METRICS, n_trials=300)
+        alone = [sweep._evaluate_share(spec, (value,))[0] for value in spec.grid]
+        for workers in (1, 2, 3):
+            assert list(run_sweep(spec, workers).rows) == alone
+        assert_no_child_left()
+
     def test_workers_below_one(self):
         with pytest.raises(SpecError):
             run_sweep(small_spec(), 0)
@@ -131,14 +150,14 @@ class TestRunSweep:
     def test_run_time_error_reaches_caller(self, monkeypatch, failing):
         monkeypatch.setattr(sweep, "_usable_cpus", lambda: 3)
         spec = small_spec(grid=(0.0, 2.0, 4.0))
-        evaluate = sweep._evaluate_point
+        evaluate = sweep._evaluate_share
 
-        def fail_at(spec, value):
-            if value == spec.grid[failing]:
+        def fail_at(spec, values):
+            if spec.grid[failing] in values:
                 raise ArithmeticError(f"point {failing} failed")
-            return evaluate(spec, value)
+            return evaluate(spec, values)
 
-        monkeypatch.setattr(sweep, "_evaluate_point", fail_at)
+        monkeypatch.setattr(sweep, "_evaluate_share", fail_at)
         with pytest.raises(ArithmeticError, match=f"point {failing} failed"):
             run_sweep(spec, workers=3)
         assert_no_child_left()
