@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import (
     Hypothesis,
@@ -71,6 +70,8 @@ def analytic_error_probs(config: ModelConfig) -> ErrorProbabilities:
     Gaussian tails.  Runs in O(N).  The Binomial(N, alpha0) weights come
     from log-gamma and the xlogy forms, which stay exact at alpha0 = 0 and 1.
     """
+    from scipy import special  # here, so Monte-Carlo commands start without scipy
+
     n = config.n_sensors
     lam = config.threshold
     scale = math.sqrt(n * config.llr_var)
@@ -136,6 +137,8 @@ def _order_stat_cdf(mix: LlrMixture, n: int, k: int | np.ndarray, w: float | np.
     *Order Statistics*, section 2.1).  For w <= 0 all N magnitudes exceed w
     (|L| has no atom at 0, F(0) = 0), so the CDF is exactly 0.
     """
+    from scipy import special  # here, so Monte-Carlo commands start without scipy
+
     exceed = 1.0 - abs_llr_cdf(mix, np.maximum(w, 0.0))
     return special.bdtr(k - 1, n, exceed)
 

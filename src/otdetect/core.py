@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "Hypothesis",
@@ -197,6 +196,8 @@ def q_function(x):
     stays at machine precision across the whole tail (no series cutoffs or
     lookup tables).  Accepts scalars or arrays; a scalar gives a Python float.
     """
+    from scipy import special  # here, so Monte-Carlo commands start without scipy
+
     out = 0.5 * special.erfc(np.asarray(x, dtype=float) / _SQRT2)
     return float(out) if out.ndim == 0 else out
 

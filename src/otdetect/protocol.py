@@ -239,8 +239,11 @@ def _simulate(
     y = math.sqrt(config.noise_var) * normals + np.where(h1, s, 0.0)[:, None]
     if config.byz_frac > 0.0:
         shift = np.where(h1, -config.attack_strength, config.attack_strength)[:, None]
-        np.add(y, shift, out=y, where=byz)
+        y += np.where(byz, shift, 0.0)
     # The LLR (2 y s - s^2) / (2 sigma^2), in place and in that operation order.
+    # Honest entries got +0.0 above, not a masked add (about twice as fast):
+    # that can only turn -0.0 into +0.0, and y -= s * s (> 0, the config
+    # refuses an underflowing s^2) maps both to the same -s^2.
     y *= 2.0
     y *= s
     y -= s * s

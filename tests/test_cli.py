@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -585,23 +586,53 @@ def test_parser_reuse_matches_fresh_processes(capsys, tmp_path, monkeypatch):
         assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
 
-def test_cli_import_skips_slow_scipy_subpackages():
-    # scipy.stats alone takes about 0.9 s to import, all of it start-up cost
-    # of every CLI call; the package needs only numpy and scipy.special.
-    # run_sweep forks with os alone, so no process-pool module is loaded either.
-    slow = (
-        "scipy.stats", "scipy.integrate", "scipy.optimize",
-        "multiprocessing", "concurrent.futures.process",
-    )
-    probe = f"import otdetect.cli, sys; print(' '.join(m for m in {slow!r} if m in sys.modules))"
-    proc = subprocess.run(
+def run_probe(probe: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """Run ``probe`` in a fresh interpreter that imports this otdetect."""
+    return subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
         check=True,
+        cwd=cwd,
         env=subprocess_env(),
     )
-    assert proc.stdout.strip() == ""
+
+
+def test_cli_import_loads_no_scipy():
+    # Importing scipy.special alone takes about 0.25 s, all of it start-up
+    # cost of every CLI call; the package imports it only in the analytic
+    # functions that use it.  run_sweep forks with os alone, so no
+    # process-pool module is loaded either.
+    probe = (
+        "import otdetect.cli, sys; print(' '.join(m for m in sys.modules if m == 'scipy'"
+        " or m.startswith(('scipy.', 'multiprocessing', 'concurrent.futures.process'))))"
+    )
+    assert run_probe(probe).stdout.strip() == ""
+
+
+def test_monte_carlo_commands_run_without_scipy(tmp_path):
+    # Calls whose metrics are all Monte Carlo finish without loading scipy;
+    # an analytic command then loads scipy.special on first use.
+    probe = textwrap.dedent(
+        """
+        import sys
+        from otdetect.cli import main
+
+        calls = [
+            ['preset', 'fig2', '--trials', '200', '--workers', '1'],
+            ['sweep', '--param', 'D', '--grid', '0:4:2', '--trials', '200', '--workers', '1',
+             '--metrics', 'pe_empirical,ns_empirical,nt_analytic', '--out', 'mc.csv'],
+        ]
+        for argv in calls:
+            assert main(argv) == 0, argv
+        loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]
+        print('after monte carlo:', loaded, file=sys.stderr)
+        assert main(['pe', '--N', '3']) == 0
+        print('after pe:', 'scipy.special' in sys.modules, file=sys.stderr)
+        """
+    )
+    lines = run_probe(probe, cwd=tmp_path).stderr.splitlines()
+    assert lines == ["after monte carlo: []", "after pe: True"]
 
 
 def test_public_names_resolve_once():

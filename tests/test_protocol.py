@@ -361,23 +361,33 @@ class TestStopKernel:
             assert full_sum[r] == row.sum()
 
     def test_block_simulation_orders_ties_by_sensor_index(self, rng):
-        # With s = 2, sigma^2 = 1 and no attack under H0, L = 2z - 2, so
-        # z = (k + 2)/2 gives the integer LLR k: many magnitude ties of both
-        # signs, in a block mixing tied rows with untied ones.  The order
-        # must be Python's stable sort on -|L|, bit for bit, and each row's
-        # stop must be the stopping rule's on that order.
+        # With s = 2 and sigma^2 = 1, L = 2z - 2 under H0 and 2z + 2 under H1,
+        # and the attack D = 1 moves a compromised L by 2 toward the wrong
+        # hypothesis; so z = (k + 2)/2 gives integer LLRs: many magnitude ties
+        # of both signs, in a block mixing tied rows with untied ones and rows
+        # of signed zeros, under both hypotheses, with uniforms below, on and
+        # above byz_frac.  The order must be Python's stable sort on -|L| of
+        # the LLRs formed with a masked add of the attack, bit for bit, and
+        # each row's stop must be the stopping rule's on that order.
         n = 40
-        cfg = ModelConfig(n_sensors=n, signal=2.0)
         ints = rng.integers(-6, 7, size=(6, n)).astype(float)
-        normals = np.vstack([(ints + 2.0) / 2.0, rng.standard_normal((3, n))])
-        uniforms = rng.random(normals.shape)
-        h1 = np.zeros(len(normals), dtype=bool)
-        ordered, _, stop_k, decide_h1, _ = _simulate(cfg, h1, uniforms, normals)
-        for r, z in enumerate(normals):
-            want = stable_magnitude_order(2.0 * z - 2.0)
-            assert_same_bits(ordered[r], want)
-            got = (int(stop_k[r]), Hypothesis(int(decide_h1[r])))
-            assert got == stopping_rule(want, cfg.threshold)
+        zeros = rng.choice([0.0, -0.0], size=(4, n))
+        normals = np.vstack([(ints + 2.0) / 2.0, zeros, rng.standard_normal((3, n))])
+        cuts = [0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 0.9]
+        uniforms = rng.choice(cuts, size=normals.shape)
+        h1 = np.arange(len(normals)) % 2 == 1
+        for byz_frac in (0.0, 0.5):
+            cfg = ModelConfig(n_sensors=n, signal=2.0, byz_frac=byz_frac, attack_strength=1.0)
+            ordered, byz, stop_k, decide_h1, _ = _simulate(cfg, h1, uniforms, normals)
+            assert np.array_equal(byz, uniforms < byz_frac)
+            for r, z in enumerate(normals):
+                y = z + (cfg.signal if h1[r] else 0.0)
+                np.add(y, -1.0 if h1[r] else 1.0, out=y, where=byz[r])
+                llrs = (2.0 * y * cfg.signal - cfg.signal**2) / 2.0
+                want = stable_magnitude_order(llrs)
+                assert_same_bits(ordered[r], want)
+                got = (int(stop_k[r]), Hypothesis(int(decide_h1[r])))
+                assert got == stopping_rule(want, cfg.threshold)
 
     def test_magnitude_order_bit_for_bit(self, rng):
         # The packed-key sort against the stable sort on -|L|, on rows of
