@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -101,6 +102,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
             raise SpecError(f"bad grid range {text!r}") from exc
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise SpecError(f"grid range {text!r} must have a finite start, stop and step")
         if step <= 0:
             raise SpecError("grid step must be > 0")
         count = int(round((stop - start) / step))

@@ -36,8 +36,9 @@ __all__ = [
 ]
 
 _U64 = 1 << 64
-# _stop_counts runs trials in blocks of about this many variates per array,
-# so its working set stays near a megabyte.
+# _stop_counts runs trials in blocks of max(1, _BLOCK_ELEMENTS // N) rows.  The
+# block size fixes how expected_transmissions consumes its streams, so it is
+# part of that estimator's output bytes: changing it changes nt_analytic.
 _BLOCK_ELEMENTS = 16384
 
 StopAction = Literal["decide_H0", "decide_H1", "continue"]
@@ -154,20 +155,55 @@ def _check_magnitude_sorted(llrs: np.ndarray) -> np.ndarray:
     return mags
 
 
+class _Workspace(NamedTuple):
+    """Scratch buffers for a block of trial rows, so the kernel allocates no (rows, N) array.
+
+    One workspace serves every config simulated on a block.  ``base``,
+    ``byz`` and ``toward`` depend on the config only through (signal,
+    noise_var, byz_frac), so consecutive configs that agree on those three,
+    such as the points of a D sweep, reuse them.
+    """
+
+    base: np.ndarray  # float: sigma*z + s*h, in sensor order
+    byz: np.ndarray  # bool: compromise mask, in sensor order
+    toward: np.ndarray  # float: -1 (H1) or +1 (H0) where compromised, a zero elsewhere
+    llrs: np.ndarray  # float: the LLRs in sensor order, then their prefix sums
+    key: np.ndarray  # uint64: sort keys, then the bits of the ordered LLRs
+    mags: np.ndarray  # float: the ordered magnitudes, ascending (bits, as uint64)
+    spread: np.ndarray  # float: (N - k)|L_(k)|
+    bracket: np.ndarray  # float: an end of the bracket on the full sum
+    fire_h1: np.ndarray  # bool
+    fired: np.ndarray  # bool
+    weights: np.ndarray  # (N,) float: N - k for k = 1..N
+
+
+def _workspace(rows: int, n: int) -> _Workspace:
+    base, toward, llrs, key, mags, spread, bracket = np.empty((7, rows, n))
+    byz, fire_h1, fired = np.empty((3, rows, n), dtype=bool)
+    return _Workspace(
+        base, byz, toward, llrs, key.view(np.uint64), mags, spread, bracket, fire_h1, fired,
+        weights=np.arange(n - 1, -1, -1, dtype=float),
+    )
+
+
 def _stop_scan(
-    ordered: np.ndarray, mags: np.ndarray, lam: float
+    ordered: np.ndarray, mags: np.ndarray, lam: float, ws: _Workspace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise stop scan over a block of magnitude-ordered LLR rows.
 
     ``ordered`` and ``mags`` are (rows, N) arrays of pre-validated LLRs and
-    their magnitudes.  Returns per-row (stop_k, decide_h1, full_sum).
+    their magnitudes; they may be views of ``ws.key`` and ``ws.mags``, but
+    not of the buffers this scan writes (``ws.llrs``, ``ws.spread``,
+    ``ws.bracket``, ``ws.fire_h1``, ``ws.fired``).  Returns per-row
+    (stop_k, decide_h1, full_sum).
     """
     n = ordered.shape[1]
-    prefix = np.cumsum(ordered, axis=1)
-    spread = (n - np.arange(1, n + 1)) * mags
-    fire_h1 = prefix - spread > lam
-    fired = fire_h1 | (prefix + spread < lam)
-    full_sum = prefix[:, -1]
+    prefix = np.cumsum(ordered, axis=1, out=ws.llrs)
+    spread = np.multiply(mags, ws.weights, out=ws.spread)
+    fire_h1 = np.greater(np.subtract(prefix, spread, out=ws.bracket), lam, out=ws.fire_h1)
+    fired = np.less(np.add(prefix, spread, out=ws.bracket), lam, out=ws.fired)
+    fired |= fire_h1
+    full_sum = prefix[:, -1].copy()
     first = np.arange(len(fired)), np.argmax(fired, axis=1)
     stopped = fired[first]
     stop_k = np.where(stopped, first[1] + 1, n)
@@ -191,7 +227,7 @@ def stopping_rule(ordered_llrs: Sequence[float], lam: float) -> tuple[int, Hypot
     if llrs.size == 0:
         raise ValueError("need at least one LLR")
     mags = _check_magnitude_sorted(llrs)
-    stop_k, decide_h1, _ = _stop_scan(llrs[None, :], mags[None, :], lam)
+    stop_k, decide_h1, _ = _stop_scan(llrs[None, :], mags[None, :], lam, _workspace(1, llrs.size))
     return int(stop_k[0]), Hypothesis(int(decide_h1[0]))
 
 
@@ -225,62 +261,79 @@ def partial_sum_bounds(
 
 
 def _simulate(
-    config: ModelConfig, h1: np.ndarray, uniforms: np.ndarray, normals: np.ndarray
+    config: ModelConfig,
+    h1: np.ndarray,
+    uniforms: np.ndarray,
+    normals: np.ndarray,
+    ws: _Workspace,
+    base_ready: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run a block of trials from their raw variates through the stopping engine.
 
     Row r is one trial under H1 if ``h1[r]`` else H0: ``uniforms[r]`` draw
     the compromise mask and ``normals[r]`` the noise, both in sensor order.
+    ``ws`` has exactly one row per trial.  ``base_ready`` says that ``ws``
+    already holds this block's ``base``, ``byz`` and ``toward`` for a config
+    with the same (signal, noise_var, byz_frac), so only the attack strength
+    is applied anew.
     Returns (ordered LLRs, compromise mask, stop_k, decide_h1, full_sum),
-    one row or entry per trial.
+    one row or entry per trial; the first two are views of ``ws``.
     """
     s = config.signal
-    byz = uniforms < config.byz_frac
-    y = math.sqrt(config.noise_var) * normals + np.where(h1, s, 0.0)[:, None]
-    if config.byz_frac > 0.0:
-        shift = np.where(h1, -config.attack_strength, config.attack_strength)[:, None]
-        y += np.where(byz, shift, 0.0)
-    # The LLR (2 y s - s^2) / (2 sigma^2), in place and in that operation order.
-    # Honest entries got +0.0 above, not a masked add (about twice as fast):
-    # that can only turn -0.0 into +0.0, and y -= s * s (> 0, the config
-    # refuses an underflowing s^2) maps both to the same -s^2.
-    y *= 2.0
-    y *= s
+    if not base_ready:
+        byz = np.less(uniforms, config.byz_frac, out=ws.byz)
+        np.multiply(byz, np.where(h1, -1.0, 1.0)[:, None], out=ws.toward)
+        base = np.multiply(normals, math.sqrt(config.noise_var), out=ws.base)
+        base += np.where(h1, s, 0.0)[:, None]
+    # The LLR (2 y s - s^2) / (2 sigma^2) of y = base + toward * D: a
+    # compromised entry moves by D toward the wrong hypothesis (+-1 * D is
+    # exact), an honest one adds a signed zero instead of taking a masked add
+    # (several times slower).  A signed zero can only flip the sign of a zero
+    # y, and y -= s * s (> 0, the config refuses an underflowing s^2) maps
+    # both zeros to -s^2.  Multiplying by 2s rounds the same real product as
+    # multiplying by 2 and then by s, because doubling is exact: no valid
+    # config brings |y| or s near the overflow threshold.
+    y = np.multiply(ws.toward, config.attack_strength, out=ws.llrs)
+    y += ws.base
+    y *= 2.0 * s
     y -= s * s
     y /= 2.0 * config.noise_var
-    ordered, mags = _magnitude_order(y)
-    stop_k, decide_h1, full_sum = _stop_scan(ordered, mags, config.threshold)
-    return ordered, byz, stop_k, decide_h1, full_sum
+    ordered, mags = _magnitude_order(y, ws)
+    stop_k, decide_h1, full_sum = _stop_scan(ordered, mags, config.threshold, ws)
+    return ordered, ws.byz, stop_k, decide_h1, full_sum
 
 
-def _magnitude_order(llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _magnitude_order(llrs: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Each row of ``llrs`` in transmission order, and the magnitudes of that order.
 
     Transmission order is a stable sort on -|L|: magnitude ties go to the
     lower sensor index.  Rotating a float's bits left by one puts the
     magnitude bits above the sign bit, and for non-negative floats the
     magnitude bits order like the magnitudes; so an ascending sort of the
-    complemented rotation sorts by descending |L|, and rotating back gives
-    the LLRs.  Equal bit patterns are interchangeable, so the only ties
-    this order can get wrong are x against -x (0.0 against -0.0 included):
-    adjacent keys that differ in the sign bit alone.  Rows holding such a
-    pair are re-sorted with the stable argsort.
+    rotation, read backwards, sorts by descending |L|, and rotating back
+    gives the LLRs.  Equal bit patterns are interchangeable, so the only
+    ties this order can get wrong are x against -x (0.0 against -0.0
+    included), which have equal magnitudes.  Rows holding adjacent equal
+    magnitudes are re-sorted with the stable argsort.  Both results are
+    reversed views of ``ws.key`` and ``ws.mags``; ``llrs`` is left as it was.
     """
     bits = llrs.view(np.uint64)
-    key = bits << 1
-    key |= bits >> 63
-    np.invert(key, out=key)
+    mags = ws.mags.view(np.uint64)
+    key = np.left_shift(bits, 1, out=ws.key)
+    key |= np.right_shift(bits, 63, out=mags)
     key.sort(axis=1)
-    tied = ((key[:, 1:] ^ key[:, :-1]) == 1).any(axis=1)
-    np.invert(key, out=key)
-    mags = key >> 1
+    np.right_shift(key, 1, out=mags)
     key <<= 63
     key |= mags
-    ordered = key.view(np.float64)
-    if tied.any():
+    ordered = key.view(np.float64)[:, ::-1]
+    # The flat check also compares each row's last magnitude with the next
+    # row's first; such a match only costs the per-row check.
+    flat = mags.reshape(-1)
+    if np.equal(flat[1:], flat[:-1], out=ws.fired.reshape(-1)[1:]).any():
+        tied = (mags[:, 1:] == mags[:, :-1]).any(axis=1)
         order = np.argsort(-np.abs(llrs[tied]), axis=1, kind="stable")
         ordered[tied] = np.take_along_axis(llrs[tied], order, axis=1)
-    return ordered, mags.view(np.float64)
+    return ordered, ws.mags[:, ::-1]
 
 
 def draw_trial(config: ModelConfig, truth: Hypothesis, rng: RngSpec) -> TrialRecord:
@@ -298,11 +351,11 @@ def draw_trial(config: ModelConfig, truth: Hypothesis, rng: RngSpec) -> TrialRec
     uniforms = gen.random((1, n))
     normals = gen.standard_normal((1, n))
     ordered, byz, stop_k, decide_h1, full_sum = _simulate(
-        config, np.array([truth is Hypothesis.H1]), uniforms, normals
+        config, np.array([truth is Hypothesis.H1]), uniforms, normals, _workspace(1, n)
     )
     return TrialRecord(
         truth=truth,
-        llrs_ordered=ordered[0],
+        llrs_ordered=ordered[0].copy(),
         byz_mask=byz[0],
         stop_k=int(stop_k[0]),
         decision=Hypothesis(int(decide_h1[0])),
@@ -320,23 +373,32 @@ def _stop_counts(
     ``fill(start, uniforms, normals)`` writes the raw variates of trials
     ``start``, ``start + 1``, ... into a block's (m, N) buffers.  Each block
     is drawn once and simulated under every config of ``configs``, which
-    share ``n_sensors``.  Returns, per config, the number of wrong
-    decisions, and the mean stop time with its SE, reduced from exact
-    integer counts of the stop times.
+    share ``n_sensors``, in one workspace (a smaller one for a last, partial
+    block); a config whose (signal, noise_var, byz_frac) equal the previous
+    config's reuses the LLR base that config left in it.  Returns, per
+    config, the number of wrong decisions, and the mean stop time with its
+    SE, reduced from exact integer counts of the stop times.
     """
     n_trials = len(h1)
     n = configs[0].n_sensors
     rows = min(n_trials, max(1, _BLOCK_ELEMENTS // n))
     uniforms = np.empty((rows, n))
     normals = np.empty((rows, n))
+    ws = _workspace(rows, n)
     errors = [0] * len(configs)
     counts = np.zeros((len(configs), n + 1), dtype=np.int64)
+    base_keys = [(c.signal, c.noise_var, c.byz_frac) for c in configs]
     for start in range(0, n_trials, rows):
         m = min(rows, n_trials - start)
         fill(start, uniforms[:m], normals[:m])
         truth = h1[start : start + m]
+        if m < rows:
+            ws = _workspace(m, n)
         for j, config in enumerate(configs):
-            _, _, stop_k, decide_h1, _ = _simulate(config, truth, uniforms[:m], normals[:m])
+            same_base = j > 0 and base_keys[j] == base_keys[j - 1]
+            _, _, stop_k, decide_h1, _ = _simulate(
+                config, truth, uniforms[:m], normals[:m], ws, base_ready=same_base
+            )
             errors[j] += int(np.count_nonzero(decide_h1 != truth))
             counts[j] += np.bincount(stop_k, minlength=n + 1)
     ks = np.arange(n + 1)

@@ -162,11 +162,14 @@ class TestSweepCommand:
             capsys, "sweep", "--param", "D", "--grid", "4:0:1", "--metrics", "dc"
         )
         assert code == 2
-        # An infinite range overflows the point count: exit 2, not a traceback.
-        code, _, _ = run_cli(
-            capsys, "sweep", "--param", "D", "--grid", "0:inf:1", "--metrics", "dc"
+
+    @pytest.mark.parametrize("grid", ["0:nan:1", "nan:1:1", "0:1:nan", "0:inf:1", "0:1:inf"])
+    def test_non_finite_grid_range_exits_2(self, capsys, grid):
+        code, out, err = run_cli(
+            capsys, "sweep", "--param", "D", "--grid", grid, "--metrics", "dc"
         )
-        assert code == 2
+        assert (code, out) == (2, "")
+        assert f"grid range {grid!r} must have a finite start, stop and step" in err
 
     def test_nt_analytic_at_large_n(self, capsys, tmp_path):
         out_csv = tmp_path / "nt.csv"

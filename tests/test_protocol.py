@@ -18,7 +18,14 @@ from otdetect import (
     run_batches,
     stopping_rule,
 )
-from otdetect.protocol import _magnitude_order, _simulate, _StreamSampler, _stop_scan
+from otdetect import protocol
+from otdetect.protocol import (
+    _magnitude_order,
+    _simulate,
+    _StreamSampler,
+    _stop_scan,
+    _workspace,
+)
 from conftest import random_config
 
 
@@ -340,6 +347,44 @@ class TestSharedDraws:
             expected_transmissions_each([], 999, seed=5)
 
 
+# (signal, noise_var, byz_frac, attack_strength): D steps on one LLR base, then
+# a change of s, of sigma^2 and of alpha0 (0, then 1) between D steps, then
+# the first base again, after other bases have overwritten the workspace.
+BASE_SWITCHES = [
+    (3.0, 1.0, 0.3, 0.0), (3.0, 1.0, 0.3, 2.5), (3.0, 1.0, 0.3, 6.0),
+    (1.5, 1.0, 0.3, 2.5),
+    (1.5, 2.0, 0.3, 2.5), (1.5, 2.0, 0.3, 4.0),
+    (1.5, 2.0, 0.0, 3.0),
+    (1.5, 2.0, 1.0, 1.0), (1.5, 2.0, 1.0, 5.0),
+    (3.0, 1.0, 0.3, 2.5),
+]
+
+
+@pytest.mark.parametrize("n", [1, 10, 300])
+def test_shared_base_matches_per_trial_replay(monkeypatch, n):
+    # Blocks of 8 rows, so 21 trials end on a partial block of 5.
+    monkeypatch.setattr(protocol, "_BLOCK_ELEMENTS", 8 * n)
+    configs = [
+        ModelConfig(n_sensors=n, signal=s, noise_var=v, byz_frac=a, attack_strength=d)
+        for s, v, a, d in BASE_SWITCHES
+    ]
+    n_trials, seed = 21, 9
+    truth_gen = np.random.Generator(np.random.Philox(key=seed, counter=1 << 255))
+    truths = [Hypothesis(int(h)) for h in truth_gen.random(n_trials) < 0.5]
+    for cfg, batch in zip(configs, run_batches(configs, n_trials, seed)):
+        recs = [draw_trial(cfg, truths[i], RngSpec(seed, i)) for i in range(n_trials)]
+        ks = np.array([rec.stop_k for rec in recs], dtype=float)
+        mean = ks.sum() / n_trials
+        se = np.sqrt(max(ks @ ks - n_trials * mean * mean, 0.0) / (n_trials - 1) / n_trials)
+        assert batch.pe.value == sum(rec.decision is not rec.truth for rec in recs) / n_trials
+        assert (batch.mean_stop_k.value, batch.mean_stop_k.se) == (mean, se)
+    # Blocks of 300 rows, so 1000 samples end on a partial block of 100.
+    monkeypatch.setattr(protocol, "_BLOCK_ELEMENTS", 300 * n)
+    estimates = expected_transmissions_each(configs, 1000, seed)
+    for cfg, est in zip(configs, estimates):
+        assert est == expected_transmissions(cfg, 1000, seed)
+
+
 class TestStopKernel:
     def test_block_rows_match_stopping_rule(self):
         # Rows that random draws cannot produce: tied magnitudes, and full
@@ -353,7 +398,8 @@ class TestStopKernel:
             ]
         )
         lam = 0.0
-        stop_k, decide_h1, full_sum = _stop_scan(block, np.abs(block), lam)
+        ws = _workspace(*block.shape)
+        stop_k, decide_h1, full_sum = _stop_scan(block, np.abs(block), lam, ws)
         expected = [(4, Hypothesis.H1), (4, Hypothesis.H0), (2, Hypothesis.H1), (4, Hypothesis.H0)]
         for r, row in enumerate(block):
             assert stopping_rule(row, lam) == expected[r]
@@ -378,7 +424,8 @@ class TestStopKernel:
         h1 = np.arange(len(normals)) % 2 == 1
         for byz_frac in (0.0, 0.5):
             cfg = ModelConfig(n_sensors=n, signal=2.0, byz_frac=byz_frac, attack_strength=1.0)
-            ordered, byz, stop_k, decide_h1, _ = _simulate(cfg, h1, uniforms, normals)
+            ws = _workspace(*normals.shape)
+            ordered, byz, stop_k, decide_h1, _ = _simulate(cfg, h1, uniforms, normals, ws)
             assert np.array_equal(byz, uniforms < byz_frac)
             for r, z in enumerate(normals):
                 y = z + (cfg.signal if h1[r] else 0.0)
@@ -407,7 +454,7 @@ class TestStopKernel:
         blocks = [np.vstack([rows, rng.choice(values, size=(500, 6))])]
         blocks += [rng.choice(values, size=(100, n)) for n in (1, 2)]
         for block in blocks:
-            ordered, mags = _magnitude_order(block.copy())
+            ordered, mags = _magnitude_order(block.copy(), _workspace(*block.shape))
             for r, row in enumerate(block):
                 want = stable_magnitude_order(row)
                 assert_same_bits(ordered[r], want)
