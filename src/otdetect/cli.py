@@ -27,6 +27,7 @@ from .sweep import (
     emit_csv,
     preset_specs,
     run_sweep,
+    run_sweeps,
     summarize,
 )
 
@@ -200,12 +201,15 @@ def _cmd_preset(args: argparse.Namespace) -> int:
     pairs = preset_specs(
         args.name, paper_scale=args.paper_scale, n_trials=values["trials"], seed=values["seed"]
     )
+    # The stem's last component prefixes every file name, so it must name a file.
+    if args.out and os.path.basename(args.out) in ("", ".", ".."):
+        raise SpecError(f"preset --out takes a file stem such as results/fig2, not {args.out!r}")
     stem = Path(args.out) if args.out else Path(args.name)
     out_paths = [stem.with_name(f"{stem.name}_{label}.csv") for label, _ in pairs]
     for out_path in out_paths:
         _check_writable(out_path)
-    for (label, spec), out_path in zip(pairs, out_paths):
-        result = run_sweep(spec, args.workers)
+    results = run_sweeps([spec for _, spec in pairs], args.workers)
+    for (label, _), result, out_path in zip(pairs, results, out_paths):
         emit_csv(result, out_path)
         print(f"[{args.name}/{label}]")
         print(summarize(result))

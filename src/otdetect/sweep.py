@@ -36,6 +36,7 @@ __all__ = [
     "SweepSpec",
     "SweepResult",
     "run_sweep",
+    "run_sweeps",
     "emit_csv",
     "load_csv",
     "summarize",
@@ -154,26 +155,45 @@ class SweepResult:
         return [row[idx] for row in self.rows]
 
 
-def _evaluate_share(spec: SweepSpec, values: tuple[float, ...]) -> list[tuple[float | None, ...]]:
-    """Rows of the grid points ``values``, in order.
+Point = tuple[SweepSpec, float]
 
-    Each Monte-Carlo estimator is called once for the whole share, so the
-    points' common random numbers are drawn once, not once per point.
+
+def _by_key(points: list[Point], metrics: set[str], key) -> dict[object, list[int]]:
+    """Indices of the points whose spec asks for one of ``metrics``, split by ``key(spec)``."""
+    groups: dict[object, list[int]] = {}
+    for i, (spec, _) in enumerate(points):
+        if metrics.intersection(spec.metrics):
+            groups.setdefault(key(spec), []).append(i)
+    return groups
+
+
+def _evaluate_share(points: list[Point]) -> list[tuple[float | None, ...]]:
+    """Rows of the grid points ``points``, each a (spec, value) pair, in order.
+
+    Each Monte-Carlo estimator is called once per (sample count, seed) of
+    the share, so points that read the same random numbers, of one spec or
+    of several, have them drawn once, not once per point.
     """
-    configs = [spec.config_at(value) for value in values]
-    wanted = set(spec.metrics)
-    rows: list[dict[str, float | None]] = [{spec.sweep_param: float(value)} for value in values]
-    if wanted & {"pe_empirical", "ns_empirical"}:
-        for cells, batch in zip(rows, run_batches(configs, spec.n_trials, spec.seed)):
+    configs = [spec.config_at(value) for spec, value in points]
+    rows: list[dict[str, float | None]] = [
+        {spec.sweep_param: float(value)} for spec, value in points
+    ]
+    trials = _by_key(points, {"pe_empirical", "ns_empirical"}, lambda s: (s.n_trials, s.seed))
+    for (n_trials, seed), group in trials.items():
+        batches = run_batches([configs[i] for i in group], n_trials, seed)
+        for i, batch in zip(group, batches):
+            cells = rows[i]
             cells["pe_empirical"], cells["pe_empirical_se"] = batch.pe.value, batch.pe.se
             saved = batch.mean_saved
             cells["ns_empirical"], cells["ns_empirical_se"] = saved.value, saved.se
-    if "nt_analytic" in wanted:
-        estimates = expected_transmissions_each(configs, max(spec.n_trials, 1000), spec.seed)
-        for cells, est in zip(rows, estimates):
-            cells["nt_analytic"], cells["nt_analytic_se"] = est.value, est.se
-    for cells, cfg in zip(rows, configs):
-        if wanted & {"ns_lb", "ns_ub"} and cfg.n_sensors >= 2:
+    samples = _by_key(points, {"nt_analytic"}, lambda s: (max(s.n_trials, 1000), s.seed))
+    for (n_samples, seed), group in samples.items():
+        estimates = expected_transmissions_each([configs[i] for i in group], n_samples, seed)
+        for i, est in zip(group, estimates):
+            rows[i]["nt_analytic"], rows[i]["nt_analytic_se"] = est.value, est.se
+    for cells, cfg, (spec, _) in zip(rows, configs, points):
+        wanted = spec.metrics
+        if ("ns_lb" in wanted or "ns_ub" in wanted) and cfg.n_sensors >= 2:
             bounds = transmission_savings_bounds(cfg)
             cells["ns_lb"], cells["ns_ub"] = bounds.lb_saved, bounds.ub_saved
         if "pe_analytic" in wanted:
@@ -183,7 +203,7 @@ def _evaluate_share(spec: SweepSpec, values: tuple[float, ...]) -> list[tuple[fl
         # Undefined without compromised sensors: an explicit NA cell.
         if "d_star" in wanted and cfg.byz_frac > 0:
             cells["d_star"] = optimal_attack_strength(cfg)
-    return [tuple(cells.get(c) for c in spec.columns()) for cells in rows]
+    return [tuple(cells.get(c) for c in spec.columns()) for cells, (spec, _) in zip(rows, points)]
 
 
 def _usable_cpus() -> int:
@@ -195,17 +215,17 @@ def _usable_cpus() -> int:
 
 
 def _process_count(workers: int, points: int) -> int:
-    """Processes a sweep of ``points`` grid points runs on when ``workers`` are asked for.
+    """Processes a grid of ``points`` points runs on when ``workers`` are asked for.
 
-    Capped by the grid length and the CPUs this process may use; 1 where
-    ``os.fork`` does not exist.
+    Capped by the grid length and the CPUs this process may use; 1 for an
+    empty grid and where ``os.fork`` does not exist.
     """
     if not hasattr(os, "fork"):
         return 1
-    return min(workers, points, _usable_cpus())
+    return max(1, min(workers, points, _usable_cpus()))
 
 
-def _run_child_share(spec: SweepSpec, first: int, step: int, write_fd: int) -> None:
+def _run_child_share(points: list[Point], first: int, step: int, write_fd: int) -> None:
     """In a forked child: pickle one share into ``write_fd`` and exit, never returning.
 
     The share is the rows of points ``first``, ``first + step``, ..., or the
@@ -216,7 +236,7 @@ def _run_child_share(spec: SweepSpec, first: int, step: int, write_fd: int) -> N
     status = 1
     try:
         try:
-            share = _evaluate_share(spec, spec.grid[first::step])
+            share = _evaluate_share(points[first::step])
         except Exception as exc:
             share = exc
         with os.fdopen(write_fd, "wb") as fh:
@@ -226,8 +246,8 @@ def _run_child_share(spec: SweepSpec, first: int, step: int, write_fd: int) -> N
         os._exit(status)
 
 
-def _evaluate_grid(spec: SweepSpec, w: int) -> list[tuple[float | None, ...]]:
-    """Rows of every grid point, in grid order; process j of ``w`` evaluates points j, j + w, ...
+def _evaluate_grid(points: list[Point], w: int) -> list[tuple[float | None, ...]]:
+    """Rows of ``points``, in order; process j of ``w`` evaluates points j, j + w, ...
 
     The calling process is process 0 and forks the other ``w - 1``; with
     ``w = 1`` this is a plain loop.  An error raised in any process reaches
@@ -242,11 +262,11 @@ def _evaluate_grid(spec: SweepSpec, w: int) -> list[tuple[float | None, ...]]:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _run_child_share(spec, j, w, write_fd)
+                    _run_child_share(points, j, w, write_fd)
             finally:
                 os.close(write_fd)  # the parent's copy; a child never gets here
             pids.append(pid)
-        shares = [_evaluate_share(spec, spec.grid[::w])]
+        shares = [_evaluate_share(points[::w])]
         for pipe in pipes:
             data = pipe.read()
             _, status = os.waitpid(pids[0], 0)
@@ -262,7 +282,7 @@ def _evaluate_grid(spec: SweepSpec, w: int) -> list[tuple[float | None, ...]]:
         _kill(pids)
         for pipe in pipes:
             pipe.close()
-    return [shares[i % w][i // w] for i in range(len(spec.grid))]
+    return [shares[i % w][i // w] for i in range(len(points))]
 
 
 def _kill(pids: list[int]) -> None:
@@ -273,28 +293,46 @@ def _kill(pids: list[int]) -> None:
         os.waitpid(pid, 0)
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Evaluate every grid point of ``spec``; rows come back in grid order.
+def run_sweeps(specs: list[SweepSpec], workers: int = 1) -> list[SweepResult]:
+    """Evaluate every grid point of every spec as one grid; one result per spec, in order.
 
-    The grid is split round-robin over ``workers`` processes, capped by the
-    grid length and the usable CPUs: the caller evaluates its share and
-    forks one child per other share (no fork with one process, or where
-    ``os.fork`` does not exist).  Every point derives its randomness from
-    the spec alone, so the result is a pure function of the spec and the
-    same at every worker count.  ``SweepSpec`` checks every point when it
-    is built, so a sweep that would fail is refused before anything runs.
-    A fork copies only the calling thread: a caller whose other threads may
-    hold locks should keep ``workers = 1``.
+    The grid is the (spec, value) pairs of every spec, in order.  It is
+    split round-robin over ``workers`` processes, capped by the number of
+    points and the usable CPUs: the caller evaluates its share and forks
+    one child per other share (no fork with one process, or where
+    ``os.fork`` does not exist).  A process draws the random numbers its
+    points share once, across specs too.  Every point derives its
+    randomness from its spec alone, so each result is a pure function of
+    its spec, equal to ``run_sweep(spec)`` and the same at every worker
+    count.  ``SweepSpec`` checks every point when it is built, so a sweep
+    that would fail is refused before anything runs.  A fork copies only
+    the calling thread: a caller whose other threads may hold locks should
+    keep ``workers = 1``.
     """
     if workers < 1:
         raise SpecError(f"workers must be >= 1, got {workers}")
-    rows = _evaluate_grid(spec, _process_count(workers, len(spec.grid)))
-    provenance = {
-        "config_hash": spec.config_hash(),
-        "seed": spec.seed,
-        "version": __version__,
-    }
-    return SweepResult(columns=spec.columns(), rows=tuple(rows), provenance=provenance)
+    points = [(spec, value) for spec in specs for value in spec.grid]
+    rows = iter(_evaluate_grid(points, _process_count(workers, len(points))))
+    return [
+        SweepResult(
+            columns=spec.columns(),
+            rows=tuple(next(rows) for _ in spec.grid),
+            provenance={
+                "config_hash": spec.config_hash(),
+                "seed": spec.seed,
+                "version": __version__,
+            },
+        )
+        for spec in specs
+    ]
+
+
+def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
+    """Evaluate every grid point of ``spec``; rows come back in grid order.
+
+    The one-spec case of :func:`run_sweeps`, with the same worker split.
+    """
+    return run_sweeps([spec], workers)[0]
 
 
 def _format_cell(value: float | None) -> str:

@@ -208,6 +208,7 @@ class TestSweepCommand:
             raise AssertionError("the grid was computed before the --workers check")
 
         monkeypatch.setattr("otdetect.cli.run_sweep", not_called)
+        monkeypatch.setattr("otdetect.cli.run_sweeps", not_called)
         code, _, err = run_cli(
             capsys, "sweep", "--param", "D", "--grid", "0:2:1", "--metrics", "dc", "--workers", "0"
         )
@@ -222,6 +223,7 @@ class TestSweepCommand:
             raise AssertionError("the grid was computed before the seed check")
 
         monkeypatch.setattr("otdetect.cli.run_sweep", not_called)
+        monkeypatch.setattr("otdetect.cli.run_sweeps", not_called)
         for seed in ("-1", str(2**64)):
             code, _, err = run_cli(
                 capsys, "sweep", "--param", "D", "--grid", "0:2:1", "--metrics", "dc",
@@ -334,18 +336,18 @@ class TestPresetCommand:
     def test_default_trials_without_cli_or_file_value(self, capsys, tmp_path, monkeypatch):
         seen = []
 
-        def record(spec, workers=1):
-            seen.append(spec.n_trials)
+        def record(specs, workers=1):
+            seen.extend(spec.n_trials for spec in specs)
             raise SpecError("stop before computing")
 
-        monkeypatch.setattr("otdetect.cli.run_sweep", record)
+        monkeypatch.setattr("otdetect.cli.run_sweeps", record)
         cfg = tmp_path / "seed.cfg"
         cfg.write_text("seed = 3\n")
         code, _, _ = run_cli(
             capsys, "preset", "fig1a", "--config", str(cfg), "--out", str(tmp_path / "x")
         )
         assert code == 2
-        assert seen == [preset_specs("fig1a")[0][1].n_trials] == [4000]
+        assert seen == [spec.n_trials for _, spec in preset_specs("fig1a")] == [4000, 4000]
 
     def test_preset_fig2_writes_two_csvs(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -373,12 +375,27 @@ class TestPresetCommand:
         def not_called(*args, **kwargs):
             raise AssertionError("a curve was computed before the --out check")
 
-        monkeypatch.setattr("otdetect.cli.run_sweep", not_called)
+        monkeypatch.setattr("otdetect.cli.run_sweeps", not_called)
         code, _, err = run_cli(
             capsys, "preset", "fig2", "--out", str(tmp_path / "missing" / "fig2")
         )
         assert code == 3
         assert "does not exist" in err
+
+    @pytest.mark.parametrize("out", [".", "/", "..", "sub/", "sub/.."])
+    def test_out_without_a_file_name_exits_2(self, capsys, tmp_path, monkeypatch, out):
+        # The stem's last component prefixes each file name: "." and "/" have
+        # none, and ".." would write hidden files named ".._<curve>.csv".
+        def not_called(*args, **kwargs):
+            raise AssertionError("a curve was computed before the --out check")
+
+        monkeypatch.setattr("otdetect.cli.run_sweeps", not_called)
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path / "sub")
+        code, out_text, err = run_cli(capsys, "preset", "fig2", "--trials", "20", "--out", out)
+        assert (code, out_text) == (2, "")
+        assert "--out" in err and "file stem" in err
+        assert list(tmp_path.rglob("*")) == [tmp_path / "sub"]
 
     def test_model_parameters_exit_2(self, capsys, tmp_path, monkeypatch):
         # A preset fixes its model; a parameter from either source is refused
@@ -386,7 +403,7 @@ class TestPresetCommand:
         def not_called(*args, **kwargs):
             raise AssertionError("a curve was computed before the parameter check")
 
-        monkeypatch.setattr("otdetect.cli.run_sweep", not_called)
+        monkeypatch.setattr("otdetect.cli.run_sweeps", not_called)
         with pytest.raises(SystemExit) as exc:
             main(["preset", "fig1a", "--N", "50", "--alpha0", "0.9", "--trials", "20"])
         captured = capsys.readouterr()
@@ -510,6 +527,27 @@ class TestParallelSweeps:
         assert "N-scaled" in err
         assert_no_child_left()
 
+    def test_preset_forks_once_per_call(self, capsys, tmp_path, monkeypatch, two_cpus):
+        # Both curves form one grid: --workers 2 forks one child for the
+        # whole preset, not one per curve.
+        fork = os.fork
+        forks = []
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        code, _, _ = run_cli(
+            capsys, "preset", "fig2", "--trials", "200", "--workers", "2",
+            "--out", str(tmp_path / "fig2"),
+        )
+        assert code == 0
+        assert len(forks) == 1
+        assert_no_child_left()
+
     def test_workers_1_never_forks(self, capsys, tmp_path, monkeypatch):
         def no_fork():
             raise AssertionError("forked at --workers 1")
@@ -522,11 +560,12 @@ class TestParallelSweeps:
         assert code == 0
 
     def test_stdout_printed_once_through_a_pipe(self, tmp_path):
-        # Piped stdout is block-buffered, so the second curve forks while the
-        # first curve's summary still sits in the buffer; a child that flushed
+        # Piped stdout is block-buffered, so the preset forks while the line
+        # printed before main still sits in the buffer; a child that flushed
         # it would print it twice.
         run = (
             "import sys; from otdetect import sweep; sweep._usable_cpus = lambda: 2; "
+            "print('before main'); "
             "from otdetect.cli import main; sys.exit(main(sys.argv[1:]))"
         )
         env = subprocess_env()
@@ -542,6 +581,7 @@ class TestParallelSweeps:
                 cwd=tmp_path,
                 env=env,
             ).stdout
+        assert out["2"].count("before main") == 1
         assert out["2"].count("[fig1a/s0.5]") == out["2"].count("[fig1a/s4]") == 1
         assert out["2"] == out["1"]
 

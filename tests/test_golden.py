@@ -47,10 +47,12 @@ def assert_same_table(got: Path, want: Path) -> None:
                 assert g == w, (got.name, column)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_cli_outputs_match_golden_files(capsys, tmp_path, monkeypatch, workers):
-    # Two usable CPUs, so that --workers 2 forks even on a one-CPU machine.
-    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    # As many usable CPUs as workers, so that every count forks even on a
+    # one-CPU machine.  With 3 processes a preset's shares cross the
+    # boundary between its curves.
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: workers)
     regenerate.write_outputs(tmp_path, workers)
     capsys.readouterr()
     assert_no_child_left()

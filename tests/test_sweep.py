@@ -16,6 +16,7 @@ from otdetect import (
     load_csv,
     preset_specs,
     run_sweep,
+    run_sweeps,
     summarize,
     sweep,
 )
@@ -115,7 +116,7 @@ class TestRunSweep:
         # equal the row of its point evaluated on its own, at every worker count.
         monkeypatch.setattr(sweep, "_usable_cpus", lambda: 3)
         spec = small_spec(**over, metrics=sweep.METRICS, n_trials=300)
-        alone = [sweep._evaluate_share(spec, (value,))[0] for value in spec.grid]
+        alone = [sweep._evaluate_share([(spec, value)])[0] for value in spec.grid]
         for workers in (1, 2, 3):
             assert list(run_sweep(spec, workers).rows) == alone
         assert_no_child_left()
@@ -152,15 +153,16 @@ class TestRunSweep:
         spec = small_spec(grid=(0.0, 2.0, 4.0))
         evaluate = sweep._evaluate_share
 
-        def fail_at(spec, values):
-            if spec.grid[failing] in values:
+        def fail_at(points):
+            if (spec, spec.grid[failing]) in points:
                 raise ArithmeticError(f"point {failing} failed")
-            return evaluate(spec, values)
+            return evaluate(points)
 
         monkeypatch.setattr(sweep, "_evaluate_share", fail_at)
         with pytest.raises(ArithmeticError, match=f"point {failing} failed"):
             run_sweep(spec, workers=3)
         assert_no_child_left()
+
 
     def test_d_star_not_applicable_cell(self):
         spec = small_spec(
@@ -189,6 +191,58 @@ class TestRunSweep:
         assert result.rows[0][result.columns.index("ns_empirical")] == pytest.approx(
             standalone.mean_saved.value
         )
+
+
+# Specs that differ in metrics, trials, seed, N, prior and swept parameter;
+# the first two share everything the draws depend on, as a preset's curves do.
+MIXED_SPECS = [
+    small_spec(grid=(0.0, 3.0, 6.0), metrics=("ns_empirical", "nt_analytic")),
+    small_spec(grid=(1.0, 4.0), base=BASE.replace(byz_frac=0.5), metrics=("pe_empirical", "dc")),
+    small_spec(grid=(0.0, 5.0), n_trials=300, metrics=("ns_empirical", "nt_analytic", "d_star")),
+    small_spec(grid=(2.0,), seed=8, metrics=("pe_empirical", "pe_analytic")),
+    small_spec(sweep_param="N", grid=(1.0, 2.0, 10.0), metrics=sweep.METRICS),
+    small_spec(sweep_param="alpha0", grid=(0.0, 0.5), base=BASE.replace(prior_h1=0.3),
+               metrics=("pe_empirical", "ns_empirical")),
+    small_spec(sweep_param="s", grid=(1.0, 2.0), base=BASE.replace(n_sensors=5),
+               metrics=("ns_empirical", "ns_lb", "ns_ub")),
+]
+
+
+class TestRunSweeps:
+    """Several specs evaluated as one grid, as a preset evaluates its curves."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_matches_each_spec_alone(self, monkeypatch, workers):
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 3)
+        alone = [run_sweep(spec) for spec in MIXED_SPECS]
+        assert run_sweeps(MIXED_SPECS, workers) == alone
+        assert_no_child_left()
+
+    # Four processes on the five points of two specs; point 4 is the
+    # second spec's second point, evaluated by the parent again.
+    @pytest.mark.parametrize("failing", range(5))
+    def test_run_time_error_reaches_caller(self, monkeypatch, failing):
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 4)
+        specs = [small_spec(grid=(0.0, 2.0, 4.0)), small_spec(grid=(1.0, 3.0), seed=9)]
+        target = [(spec, value) for spec in specs for value in spec.grid][failing]
+        evaluate = sweep._evaluate_share
+
+        def fail_at(points):
+            if target in points:
+                raise ArithmeticError(f"point {failing} failed")
+            return evaluate(points)
+
+        monkeypatch.setattr(sweep, "_evaluate_share", fail_at)
+        with pytest.raises(ArithmeticError, match=f"point {failing} failed"):
+            run_sweeps(specs, workers=4)
+        assert_no_child_left()
+
+    def test_workers_below_one(self):
+        with pytest.raises(SpecError):
+            run_sweeps(MIXED_SPECS, 0)
+
+    def test_empty_spec_list(self):
+        assert run_sweeps([], workers=2) == []
 
 
 class TestEmitCsv:
