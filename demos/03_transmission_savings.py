@@ -5,18 +5,10 @@ Two routes to the same quantity:
     (run_batch), and E[k*] estimated per hypothesis on separate random
     streams (expected_transmissions), both through the one stopping rule;
   * upper/lower bounds from a Cauchy-Schwarz envelope on the ordered head
-    sums: analytic from the population moments
-    (transmission_savings_bounds), or redrawn from each simulated
-    realization (empirical_savings_bounds).
+    sums, analytic from the population moments (transmission_savings_bounds).
 """
 
-from otdetect import (
-    ModelConfig,
-    empirical_savings_bounds,
-    expected_transmissions,
-    run_batch,
-    transmission_savings_bounds,
-)
+from otdetect import ModelConfig, expected_transmissions, run_batch, transmission_savings_bounds
 
 
 def main() -> None:
@@ -46,13 +38,6 @@ def main() -> None:
             f"{d:5.1f}   {rep.lb_saved:11.2f}   {batch.mean_saved.value:13.2f} "
             f"(+-{batch.mean_saved.se:.2f})   {rep.ub_saved:10.2f}"
         )
-
-    print("\nThe bound envelope can also be redrawn per realization (empirical mode):")
-    cfg = ModelConfig(n_sensors=100, signal=3.0, noise_var=1.0, byz_frac=0.3, attack_strength=4.0)
-    pop = transmission_savings_bounds(cfg)
-    emp = empirical_savings_bounds(cfg, n_samples=20_000, seed=3)
-    print(f"  population envelope: [{pop.lb_saved:.2f}, {pop.ub_saved:.2f}]")
-    print(f"  empirical envelope:  [{emp.lb_saved:.2f}, {emp.ub_saved:.2f}]")
 
 
 if __name__ == "__main__":

@@ -45,9 +45,11 @@ class ErrorProbabilities:
 
     By the early-stopping equivalence these are also the OT system's
     probabilities.  ``threshold`` is the LLR-sum threshold ln(pi0/pi1).
+    ``p_miss`` is summed from its own tail, and ``p_d`` is 1 - p_miss.
     """
 
     p_d: float
+    p_miss: float
     p_f: float
     p_e: float
     threshold: float
@@ -68,7 +70,9 @@ def analytic_error_probs(config: ModelConfig) -> ErrorProbabilities:
     Gaussian with mean (N-m)*mean_honest + m*mean_byz and variance N*beta,
     so each probability is a Binomial(N, alpha0)-weighted sum of N+1
     Gaussian tails.  Runs in O(N).  The Binomial(N, alpha0) weights come
-    from log-gamma and the xlogy forms, which stay exact at alpha0 = 0 and 1.
+    from log-gamma and the xlogy forms, which stay exact at alpha0 = 0 and 1,
+    and are divided by their sum.  The miss probability is its own tail sum,
+    not 1 - p_d, so p_e keeps its relative precision far below 1e-16.
     """
     from scipy import special  # here, so Monte-Carlo commands start without scipy
 
@@ -84,16 +88,18 @@ def analytic_error_probs(config: ModelConfig) -> ErrorProbabilities:
         + special.xlogy(m, p)
         + special.xlog1py(n - m, -p)
     )
+    weights /= weights.sum()
 
-    def tail_mix(h: Hypothesis) -> float:
+    def tail_mix(h: Hypothesis, side: float) -> float:
+        """P(side * (sum - lam) > 0) under ``h``."""
         mix = llr_mixture(config, h)
         means = (n - m) * mix.mean_honest + m * mix.mean_byz
-        return float(np.sum(weights * q_function((lam - means) / scale)))
+        return min(float(np.sum(weights * q_function(side * (lam - means) / scale))), 1.0)
 
-    p_d = min(max(tail_mix(Hypothesis.H1), 0.0), 1.0)
-    p_f = min(max(tail_mix(Hypothesis.H0), 0.0), 1.0)
-    p_e = config.prior_h1 * (1.0 - p_d) + config.prior_h0 * p_f
-    return ErrorProbabilities(p_d=p_d, p_f=p_f, p_e=p_e, threshold=lam)
+    p_miss = tail_mix(Hypothesis.H1, -1.0)
+    p_f = tail_mix(Hypothesis.H0, 1.0)
+    p_e = config.prior_h1 * p_miss + config.prior_h0 * p_f
+    return ErrorProbabilities(p_d=1.0 - p_miss, p_miss=p_miss, p_f=p_f, p_e=p_e, threshold=lam)
 
 
 def _check_order_stat_args(config: ModelConfig, k: int) -> None:
@@ -177,8 +183,7 @@ def transmission_savings_bounds(config: ModelConfig) -> BoundsReport:
     The envelope takes the per-sensor population mean and
     (N/(N-1))-scaled variance, and each threshold event on the k-th
     largest magnitude is evaluated by the binomial identity (see
-    :func:`abs_order_stat_cdf`), for all k at once.  The per-realization
-    envelope is :func:`otdetect.protocol.empirical_savings_bounds`.
+    :func:`abs_order_stat_cdf`), for all k at once.
     """
     n = config.n_sensors
     if n < 2:

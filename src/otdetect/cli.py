@@ -15,7 +15,6 @@ from pathlib import Path
 from .analysis import analytic_error_probs, transmission_savings_bounds
 from .attack import deflection_coefficient, optimal_attack_strength
 from .core import ModelConfig
-from .protocol import empirical_savings_bounds
 from .sweep import (
     METRICS,
     PARAM_FIELDS,
@@ -74,7 +73,8 @@ def _settings(args: argparse.Namespace, **defaults) -> dict:
     """Defaults < config file < CLI, over the settings ``args.reads`` of the command.
 
     A config-file key the command does not read is refused, and so is a base
-    value for the parameter a sweep sets from its grid.
+    value for the parameter a sweep sets from its grid, and an ``--out``
+    whose last component names no file.
     """
     given = _read_config_file(args.config) if args.config else {}
     given |= {key: getattr(args, key) for key in args.reads if getattr(args, key) is not None}
@@ -86,6 +86,9 @@ def _settings(args: argparse.Namespace, **defaults) -> dict:
         raise SpecError(f"sweep --param {swept} sets {swept} from --grid; do not set it")
     if getattr(args, "workers", 1) < 1:
         raise SpecError(f"--workers must be >= 1, got {args.workers}")
+    # A CSV path, or a preset's stem that prefixes every file name, must end in a name.
+    if args.out and os.path.basename(args.out) in ("", ".", ".."):
+        raise SpecError(f"--out takes a file name or a preset's file stem, not {args.out!r}")
     return {key: default for key, (_, default, _) in _SETTINGS.items()} | defaults | given
 
 
@@ -134,7 +137,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
     cfg = _model_config(values)
     if args.out:
         _check_writable(Path(args.out))
-    pairs, row = args.evaluate(args, values, cfg)
+    pairs, row = args.evaluate(cfg)
     width = max(len(k) for k, _ in pairs)
     for k, v in pairs:
         print(f"{k.ljust(width)}  {v}")
@@ -143,7 +146,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dc(args: argparse.Namespace, values: dict, cfg: ModelConfig) -> tuple[list, dict]:
+def _dc(cfg: ModelConfig) -> tuple[list, dict]:
     a = deflection_coefficient(cfg)
     d_star = optimal_attack_strength(cfg) if cfg.byz_frac > 0 else None
     row = {"dc": a.dc, "mean_z_h1": a.mean_z_h1, "mean_z_h0": a.mean_z_h0,
@@ -152,21 +155,15 @@ def _dc(args: argparse.Namespace, values: dict, cfg: ModelConfig) -> tuple[list,
     return list(shown.items()), row
 
 
-def _pe(args: argparse.Namespace, values: dict, cfg: ModelConfig) -> tuple[list, dict]:
+def _pe(cfg: ModelConfig) -> tuple[list, dict]:
     probs = analytic_error_probs(cfg)
     row = {"p_d": probs.p_d, "p_f": probs.p_f, "p_e": probs.p_e, "threshold": probs.threshold}
     return list(row.items()), row
 
 
-def _bounds(args: argparse.Namespace, values: dict, cfg: ModelConfig) -> tuple[list, dict]:
-    if args.mode == "empirical":
-        if values["trials"] < 1000:
-            raise SpecError(f"--mode empirical needs --trials >= 1000, got {values['trials']}")
-        report = empirical_savings_bounds(cfg, values["trials"], values["seed"])
-    else:
-        report = transmission_savings_bounds(cfg)
+def _bounds(cfg: ModelConfig) -> tuple[list, dict]:
+    report = transmission_savings_bounds(cfg)
     pairs = [
-        ("mode", args.mode),
         ("lb_saved", report.lb_saved),
         ("ub_saved", report.ub_saved),
         ("lb_saved_frac", report.lb_saved / cfg.n_sensors),
@@ -201,9 +198,6 @@ def _cmd_preset(args: argparse.Namespace) -> int:
     pairs = preset_specs(
         args.name, paper_scale=args.paper_scale, n_trials=values["trials"], seed=values["seed"]
     )
-    # The stem's last component prefixes every file name, so it must name a file.
-    if args.out and os.path.basename(args.out) in ("", ".", ".."):
-        raise SpecError(f"preset --out takes a file stem such as results/fig2, not {args.out!r}")
     stem = Path(args.out) if args.out else Path(args.name)
     out_paths = [stem.with_name(f"{stem.name}_{label}.csv") for label, _ in pairs]
     for out_path in out_paths:
@@ -260,9 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
             func=_cmd_point, evaluate=_dc)
     command("pe", "analytic detection/error probabilities", _MODEL,
             func=_cmd_point, evaluate=_pe)
-    p_bounds = command("bounds", "bounds on expected transmissions saved", _MODEL + _MC,
-                       func=_cmd_point, evaluate=_bounds)
-    p_bounds.add_argument("--mode", choices=("population", "empirical"), default="population")
+    command("bounds", "bounds on expected transmissions saved", _MODEL,
+            func=_cmd_point, evaluate=_bounds)
 
     return parser
 

@@ -16,8 +16,7 @@ from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .analysis import BoundsReport, _envelope_radius
-from .core import EstimateWithError, Hypothesis, ModelConfig, llr_mixture
+from .core import EstimateWithError, Hypothesis, ModelConfig
 
 __all__ = [
     "RngSpec",
@@ -32,7 +31,6 @@ __all__ = [
     "run_batches",
     "expected_transmissions",
     "expected_transmissions_each",
-    "empirical_savings_bounds",
 ]
 
 _U64 = 1 << 64
@@ -527,44 +525,3 @@ def expected_transmissions_each(
             estimates[i] = EstimateWithError(mean, se, n_samples)
     return [estimates[i] for i in range(len(configs))]
 
-
-def empirical_savings_bounds(
-    config: ModelConfig, n_samples: int = 20_000, seed: int = 0
-) -> BoundsReport:
-    """Per-realization bounds on the expected number of transmissions saved.
-
-    The Cauchy-Schwarz envelope of
-    :func:`otdetect.analysis.transmission_savings_bounds`, redrawn from
-    each of ``n_samples`` simulated realizations' sample mean and variance
-    per hypothesis, with the stop events at every prefix k counted
-    directly.  Hypothesis h draws its N-sensor LLR rows from stream
-    ``RngSpec(seed, h)``, so it reads streams (seed, 0) and (seed, 1): the
-    same streams as :func:`run_batch`'s trials 0 and 1, so the two
-    estimates at one seed are not independent.
-    """
-    n = config.n_sensors
-    if n < 2:
-        raise ValueError("bounds need at least 2 sensors")
-    if n_samples < 1000:
-        raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
-    lam = config.threshold
-    priors = {Hypothesis.H0: config.prior_h0, Hypothesis.H1: config.prior_h1}
-    lb = 0.0
-    ub = 0.0
-    for h in (Hypothesis.H0, Hypothesis.H1):
-        mix = llr_mixture(config, h)
-        gen = RngSpec(seed, int(h)).generator()
-        draws = mix.sample(gen, n_samples * n).reshape(n_samples, n)
-        mags = np.sort(np.abs(draws), axis=1)[:, ::-1]
-        sample_mean = draws.mean(axis=1)
-        sample_var = draws.var(axis=1, ddof=1)
-        for k in range(1, n):
-            rad = _envelope_radius(n, k, sample_var)
-            g_u = rad + k * sample_mean
-            g_l = -rad + k * sample_mean
-            spread = (n - k) * mags[:, k - 1]
-            ub_event = (g_u > lam + spread) | (g_l < lam - spread)
-            lb_event = (g_l > lam + spread) | (g_u < lam - spread)
-            ub += priors[h] * float(ub_event.mean())
-            lb += priors[h] * float(lb_event.mean())
-    return BoundsReport(lb_saved=lb, ub_saved=ub)

@@ -8,6 +8,7 @@ uses the binomial tail identity instead).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from otdetect import (
     abs_order_stat_cdf,
     abs_order_stat_pdf,
     analytic_error_probs,
-    empirical_savings_bounds,
     expected_transmissions,
     llr_mixture,
     q_function,
@@ -47,6 +47,27 @@ def power_set_error_probs(cfg: ModelConfig) -> tuple[float, float]:
         means = (n - byz_counts) * m.mean_honest + byz_counts * m.mean_byz
         out[h] = float(np.sum(weights * q_function((lam - means) / scale)))
     return out[Hypothesis.H1], out[Hypothesis.H0]
+
+
+def exact_error_prob(cfg: ModelConfig) -> float:
+    """p_e from exact binomial weights and math.erfc tails, summed by math.fsum (oracle)."""
+    n, s, var, d = cfg.n_sensors, cfg.signal, cfg.noise_var, cfg.attack_strength
+    alpha0 = Fraction(cfg.byz_frac)
+    weights = [float(math.comb(n, m) * alpha0**m * (1 - alpha0) ** (n - m)) for m in range(n + 1)]
+    scale = math.sqrt(n * s * s / var)
+
+    def tail(mean_honest: float, mean_byz: float, side: int) -> float:
+        """P(side * (sum - lam) > 0): a sum of Q(x) = erfc(x / sqrt 2) / 2."""
+        return math.fsum(
+            w * 0.5 * math.erfc(side * (cfg.threshold - (n - m) * mean_honest - m * mean_byz)
+                                / scale / math.sqrt(2))
+            for m, w in enumerate(weights)
+        )
+
+    # The LLR (2ys - s^2)/(2 var); a compromised y moves by D toward the wrong hypothesis.
+    p_miss = tail(s * s / (2 * var), (s * s - 2 * s * d) / (2 * var), -1)
+    p_f = tail(-s * s / (2 * var), (2 * s * d - s * s) / (2 * var), 1)
+    return cfg.prior_h1 * p_miss + cfg.prior_h0 * p_f
 
 
 def global_sum_pdf(cfg: ModelConfig, h: Hypothesis, z):
@@ -117,10 +138,23 @@ class TestAnalyticErrorProbs:
         for _ in range(20):
             cfg = random_config(rng)
             probs = analytic_error_probs(cfg)
-            assert 0.0 <= probs.p_d <= 1.0
+            assert 0.0 <= probs.p_miss <= 1.0
             assert 0.0 <= probs.p_f <= 1.0
-            expected = cfg.prior_h1 * (1 - probs.p_d) + cfg.prior_h0 * probs.p_f
-            assert probs.p_e == pytest.approx(expected, rel=1e-12)
+            assert probs.p_d == 1 - probs.p_miss
+            expected = cfg.prior_h1 * probs.p_miss + cfg.prior_h0 * probs.p_f
+            assert probs.p_e == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [30, 100, 300])
+    @pytest.mark.parametrize("alpha0", [0.3, 0.5])
+    def test_relative_error_against_exact_weights(self, n, alpha0):
+        # p_e falls to about 4e-149 (N = 300, alpha0 = 0.3, D = 0), far below
+        # where 1 - p_d could resolve a miss probability.
+        for d in range(5):
+            cfg = ModelConfig(
+                n_sensors=n, signal=3.0, noise_var=1.0, byz_frac=alpha0, attack_strength=d
+            )
+            pe = analytic_error_probs(cfg).p_e
+            assert pe == pytest.approx(exact_error_prob(cfg), rel=1e-11, abs=0.0), d
 
     def test_matches_power_set_enumeration(self, rng):
         cfg = ModelConfig(
@@ -367,29 +401,6 @@ class TestSavingsBounds:
             ns, se = batch.mean_saved.value, batch.mean_saved.se
             assert rep.lb_saved - 3 * se <= ns <= rep.ub_saved + 3 * se
 
-    def test_empirical_mode_sandwich_and_determinism(self):
-        cfg = ModelConfig(
-            n_sensors=50, signal=3.0, noise_var=1.0, byz_frac=0.3, attack_strength=4.0
-        )
-        rep1 = empirical_savings_bounds(cfg, n_samples=20_000, seed=5)
-        rep2 = empirical_savings_bounds(cfg, n_samples=20_000, seed=5)
-        assert rep1.lb_saved == rep2.lb_saved
-        assert rep1.ub_saved == rep2.ub_saved
-        assert rep1.lb_saved <= rep1.ub_saved
-        batch = run_batch(cfg, 4000, seed=33)
-        ns, se = batch.mean_saved.value, batch.mean_saved.se
-        assert rep1.lb_saved - 3 * se <= ns <= rep1.ub_saved + 3 * se
-
-    def test_empirical_envelope_pinned(self):
-        # Pinned bits: any change to the draws, their order or the arithmetic moves them.
-        cfg = ModelConfig(
-            n_sensors=6, signal=3.0, noise_var=1.0, byz_frac=0.3, attack_strength=2.0,
-            prior_h1=0.3,
-        )
-        rep = empirical_savings_bounds(cfg, n_samples=1000, seed=11)
-        assert rep.lb_saved == 0.9469
-        assert rep.ub_saved == 3.0119
-
     def test_two_sensor_edge(self):
         rep = transmission_savings_bounds(ModelConfig(n_sensors=2, signal=4.0))
         assert 0.0 <= rep.lb_saved <= rep.ub_saved <= 1.0
@@ -397,7 +408,3 @@ class TestSavingsBounds:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             transmission_savings_bounds(ModelConfig(n_sensors=1, signal=1.0))
-        with pytest.raises(ValueError):
-            empirical_savings_bounds(ModelConfig(n_sensors=1, signal=1.0))
-        with pytest.raises(ValueError):
-            empirical_savings_bounds(ModelConfig(n_sensors=4, signal=1.0), n_samples=10)

@@ -109,21 +109,24 @@ class TestSingleConfigCommands:
         assert (code, out) == (3, "")
         assert "does not exist" in err
 
-    def test_bounds_empirical_mode(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bounds", "--N", "10", "--s", "3", "--mode", "empirical", "--trials", "2000"
-        )
-        assert code == 0
-        assert "empirical" in out
-
-    @pytest.mark.parametrize("trials", ["5", "999"])
-    def test_bounds_empirical_refuses_too_few_trials(self, capsys, trials):
-        # The envelope needs 1000 samples; fewer is refused, not silently raised.
-        code, out, err = run_cli(
-            capsys, "bounds", "--N", "10", "--mode", "empirical", "--trials", trials
-        )
-        assert (code, out) == (2, "")
-        assert "--trials" in err and trials in err
+    @pytest.mark.parametrize("out", ["sub/", ".", ".."])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--param", "D", "--grid", "0:1:1", "--metrics", "dc"],
+            ["pe"],
+            ["dc"],
+            ["bounds"],
+        ],
+    )
+    def test_out_without_a_file_name_exits_2(self, capsys, tmp_path, monkeypatch, argv, out):
+        # "sub/" would otherwise write the files sub and sub.meta.json.
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        code, out_text, err = run_cli(capsys, *argv, "--out", out)
+        assert (code, out_text) == (2, "")
+        assert "--out" in err and "file stem" in err
+        assert list(tmp_path.rglob("*")) == [tmp_path / "work"]
 
 
 class TestSweepCommand:
@@ -299,6 +302,7 @@ class TestConfigFile:
             (["pe"], "trials = 5\n", "pe does not use trials"),
             (["dc"], "N = 20\nseed = 3\ntrials = 5\n", "dc does not use seed, trials"),
             (["preset", "fig1a"], "s = 2\nseed = 3\n", "preset does not use s"),
+            (["bounds"], "trials = 20\n", "bounds does not use trials"),
         ],
     )
     def test_key_the_command_does_not_read_exits_2(self, capsys, tmp_path, argv, text, unused):
@@ -426,7 +430,7 @@ _MC = {"--trials", "--seed"}
 _FLAGS = {
     "pe": _COMMON | _MODEL,
     "dc": _COMMON | _MODEL,
-    "bounds": _COMMON | _MODEL | _MC | {"--mode"},
+    "bounds": _COMMON | _MODEL,
     "sweep": _COMMON | _MODEL | _MC | {"--workers", "--param", "--grid", "--metrics"},
     "preset": _COMMON | _MC | {"--workers", "--paper-scale"},
 }
@@ -453,6 +457,8 @@ class TestFlags:
              "--paper-scale"),
             # Not an abbreviation of preset's --seed.
             (["preset", "fig1a", "--s", "3"], "--s 3"),
+            (["bounds", "--trials", "5"], "--trials 5"),
+            (["bounds", "--mode", "empirical"], "--mode empirical"),
         ],
     )
     def test_flag_the_command_does_not_read_exits_2(self, capsys, argv, refused):

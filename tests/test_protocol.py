@@ -1,6 +1,8 @@
 """Protocol engine: ordering, early stopping, bounds bracket, batches."""
 
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -525,3 +527,17 @@ class TestRngSpec:
         a = RngSpec(0, 0).generator().random(6)
         b = RngSpec(0, 1).generator().random(6)
         assert not np.array_equal(a, b)
+
+
+def test_protocol_imports_only_core_from_the_package():
+    # The simulator rests on the model alone, so the analytic layers stay
+    # independent oracles for it.
+    tree = ast.parse(Path(protocol.__file__).read_text(encoding="utf-8"))
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] == "otdetect":
+                local.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            local.update(a.name for a in node.names if a.name.split(".")[0] == "otdetect")
+    assert local == {".core"}
