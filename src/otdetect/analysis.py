@@ -45,7 +45,7 @@ class ErrorProbabilities:
 
     By the early-stopping equivalence these are also the OT system's
     probabilities.  ``threshold`` is the LLR-sum threshold ln(pi0/pi1).
-    ``p_miss`` is summed from its own tail, and ``p_d`` is 1 - p_miss.
+    ``p_d`` and ``p_miss`` are each summed from their own tail.
     """
 
     p_d: float
@@ -71,8 +71,8 @@ def analytic_error_probs(config: ModelConfig) -> ErrorProbabilities:
     so each probability is a Binomial(N, alpha0)-weighted sum of N+1
     Gaussian tails.  Runs in O(N).  The Binomial(N, alpha0) weights come
     from log-gamma and the xlogy forms, which stay exact at alpha0 = 0 and 1,
-    and are divided by their sum.  The miss probability is its own tail sum,
-    not 1 - p_d, so p_e keeps its relative precision far below 1e-16.
+    and are divided by their sum.  p_d, p_miss and p_f are each their own
+    tail sum, so each keeps its relative precision far below 1e-16, as p_e does.
     """
     from scipy import special  # here, so Monte-Carlo commands start without scipy
 
@@ -96,10 +96,11 @@ def analytic_error_probs(config: ModelConfig) -> ErrorProbabilities:
         means = (n - m) * mix.mean_honest + m * mix.mean_byz
         return min(float(np.sum(weights * q_function(side * (lam - means) / scale))), 1.0)
 
+    p_d = tail_mix(Hypothesis.H1, 1.0)
     p_miss = tail_mix(Hypothesis.H1, -1.0)
     p_f = tail_mix(Hypothesis.H0, 1.0)
     p_e = config.prior_h1 * p_miss + config.prior_h0 * p_f
-    return ErrorProbabilities(p_d=1.0 - p_miss, p_miss=p_miss, p_f=p_f, p_e=p_e, threshold=lam)
+    return ErrorProbabilities(p_d=p_d, p_miss=p_miss, p_f=p_f, p_e=p_e, threshold=lam)
 
 
 def _check_order_stat_args(config: ModelConfig, k: int) -> None:

@@ -143,11 +143,20 @@ class _StreamSampler:
         self._bitgen.state = self._state
         return self.generator
 
+    def read(self, start: int, uniforms: np.ndarray, normals: np.ndarray) -> None:
+        """Write trial stream ``start + r``'s N uniforms, then its N normals, into row r."""
+        for r in range(len(uniforms)):
+            gen = self.at(start + r)
+            gen.random(out=uniforms[r])
+            gen.standard_normal(out=normals[r])
 
-def _check_magnitude_sorted(llrs: np.ndarray) -> np.ndarray:
-    mags = np.abs(llrs)
+
+def _check_magnitude_sorted(llrs: np.ndarray, lam: float) -> np.ndarray:
     if llrs.ndim != 1:
         raise ValueError("expected a 1-D sequence of LLRs")
+    if not (np.isfinite(llrs).all() and math.isfinite(lam)):
+        raise ValueError("LLRs and the threshold must be finite")
+    mags = np.abs(llrs)
     if np.any(np.diff(mags) > 0):
         raise ValueError("LLRs must be sorted by descending magnitude")
     return mags
@@ -170,16 +179,16 @@ class _Workspace(NamedTuple):
     mags: np.ndarray  # float: the ordered magnitudes, ascending (bits, as uint64)
     spread: np.ndarray  # float: (N - k)|L_(k)|
     bracket: np.ndarray  # float: an end of the bracket on the full sum
-    fire_h1: np.ndarray  # bool
-    fired: np.ndarray  # bool
+    stops: np.ndarray  # bool: the bracket clears the threshold (and tie flags in the sort)
+    below: np.ndarray  # bool: the bracket lies below the threshold
     weights: np.ndarray  # (N,) float: N - k for k = 1..N
 
 
 def _workspace(rows: int, n: int) -> _Workspace:
     base, toward, llrs, key, mags, spread, bracket = np.empty((7, rows, n))
-    byz, fire_h1, fired = np.empty((3, rows, n), dtype=bool)
+    byz, stops, below = np.empty((3, rows, n), dtype=bool)
     return _Workspace(
-        base, byz, toward, llrs, key.view(np.uint64), mags, spread, bracket, fire_h1, fired,
+        base, byz, toward, llrs, key.view(np.uint64), mags, spread, bracket, stops, below,
         weights=np.arange(n - 1, -1, -1, dtype=float),
     )
 
@@ -192,22 +201,20 @@ def _stop_scan(
     ``ordered`` and ``mags`` are (rows, N) arrays of pre-validated LLRs and
     their magnitudes; they may be views of ``ws.key`` and ``ws.mags``, but
     not of the buffers this scan writes (``ws.llrs``, ``ws.spread``,
-    ``ws.bracket``, ``ws.fire_h1``, ``ws.fired``).  Returns per-row
+    ``ws.bracket``, ``ws.stops``, ``ws.below``).  Returns per-row
     (stop_k, decide_h1, full_sum).
     """
-    n = ordered.shape[1]
     prefix = np.cumsum(ordered, axis=1, out=ws.llrs)
     spread = np.multiply(mags, ws.weights, out=ws.spread)
-    fire_h1 = np.greater(np.subtract(prefix, spread, out=ws.bracket), lam, out=ws.fire_h1)
-    fired = np.less(np.add(prefix, spread, out=ws.bracket), lam, out=ws.fired)
-    fired |= fire_h1
-    full_sum = prefix[:, -1].copy()
-    first = np.arange(len(fired)), np.argmax(fired, axis=1)
-    stopped = fired[first]
-    stop_k = np.where(stopped, first[1] + 1, n)
-    # Where nothing fires the full sum ties the threshold; ties go to H0.
-    decide_h1 = np.where(stopped, fire_h1[first], full_sum > lam)
-    return stop_k, decide_h1, full_sum
+    stops = np.greater(np.subtract(prefix, spread, out=ws.bracket), lam, out=ws.stops)
+    stops |= np.less(np.add(prefix, spread, out=ws.bracket), lam, out=ws.below)
+    # Rounding is monotone, fl(p - s) <= p <= fl(p + s), so a row stops on the
+    # side its prefix p is on.  At k = N the spread is 0 and p the full sum:
+    # every row stops by N, and a full sum on the threshold goes to H0.
+    stops[:, -1] = True
+    stop_k = np.argmax(stops, axis=1)
+    decide_h1 = prefix[np.arange(len(stops)), stop_k] > lam
+    return stop_k + 1, decide_h1, prefix[:, -1].copy()
 
 
 def stopping_rule(ordered_llrs: Sequence[float], lam: float) -> tuple[int, Hypothesis]:
@@ -224,7 +231,7 @@ def stopping_rule(ordered_llrs: Sequence[float], lam: float) -> tuple[int, Hypot
     llrs = np.asarray(ordered_llrs, dtype=float)
     if llrs.size == 0:
         raise ValueError("need at least one LLR")
-    mags = _check_magnitude_sorted(llrs)
+    mags = _check_magnitude_sorted(llrs, lam)
     stop_k, decide_h1, _ = _stop_scan(llrs[None, :], mags[None, :], lam, _workspace(1, llrs.size))
     return int(stop_k[0]), Hypothesis(int(decide_h1[0]))
 
@@ -244,7 +251,7 @@ def partial_sum_bounds(
         raise ValueError("prefix must contain at least one LLR")
     if prefix.size > n_total:
         raise ValueError(f"prefix of length {prefix.size} exceeds n_total={n_total}")
-    mags = _check_magnitude_sorted(prefix)
+    mags = _check_magnitude_sorted(prefix, lam)
     spread = (n_total - prefix.size) * mags[-1]
     total = float(np.cumsum(prefix)[-1])
     z_lower = total - spread
@@ -327,7 +334,7 @@ def _magnitude_order(llrs: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.n
     # The flat check also compares each row's last magnitude with the next
     # row's first; such a match only costs the per-row check.
     flat = mags.reshape(-1)
-    if np.equal(flat[1:], flat[:-1], out=ws.fired.reshape(-1)[1:]).any():
+    if np.equal(flat[1:], flat[:-1], out=ws.stops.reshape(-1)[1:]).any():
         tied = (mags[:, 1:] == mags[:, :-1]).any(axis=1)
         order = np.argsort(-np.abs(llrs[tied]), axis=1, kind="stable")
         ordered[tied] = np.take_along_axis(llrs[tied], order, axis=1)
@@ -344,10 +351,9 @@ def draw_trial(config: ModelConfig, truth: Hypothesis, rng: RngSpec) -> TrialRec
     bit-for-bit stable.
     """
     truth = Hypothesis(truth)
-    gen = rng.generator()
     n = config.n_sensors
-    uniforms = gen.random((1, n))
-    normals = gen.standard_normal((1, n))
+    uniforms, normals = np.empty((2, 1, n))
+    _StreamSampler(rng.seed).read(rng.stream, uniforms, normals)
     ordered, byz, stop_k, decide_h1, full_sum = _simulate(
         config, np.array([truth is Hypothesis.H1]), uniforms, normals, _workspace(1, n)
     )
@@ -451,19 +457,12 @@ def run_batches(
     sampler = _StreamSampler(seed)
     # Truth labels live on stream 2^63, the first of the upper half, clear
     # of the per-trial streams (stream < 2^63 for any feasible n_trials).
-    truth_uniforms = RngSpec(seed, 1 << 63).generator().random(n_trials)
-
-    def fill(start: int, uniforms: np.ndarray, normals: np.ndarray) -> None:
-        for r in range(len(uniforms)):
-            gen = sampler.at(start + r)
-            gen.random(out=uniforms[r])
-            gen.standard_normal(out=normals[r])
-
+    truth_uniforms = sampler.at(1 << 63).random(n_trials)
     summaries: dict[int, BatchSummary] = {}
     for group, members in _grouped(configs, lambda c: (c.n_sensors, c.prior_h1)):
         truths = truth_uniforms < members[0].prior_h1
         n_h1 = int(truths.sum())
-        counted = _stop_counts(members, truths, fill)
+        counted = _stop_counts(members, truths, sampler.read)
         for i, config, (errors, mean_k, se_k) in zip(group, members, counted):
             pe = errors / n_trials
             pe_se = math.sqrt(pe * (1.0 - pe) / n_trials)

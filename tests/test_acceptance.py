@@ -26,10 +26,12 @@ from otdetect import (
     transmission_savings_bounds,
 )
 from otdetect.cli import main as cli_main
+from otdetect.protocol import _BLOCK_ELEMENTS, _simulate, _StreamSampler, _workspace
 from scipy.integrate import quad
 
 from conftest import random_config
 from test_analysis import power_set_error_probs
+from test_protocol import assert_same_bits
 
 
 def report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -56,17 +58,36 @@ def grid_configs() -> list[ModelConfig]:
 
 
 def test_criterion_01_early_stop_equals_full_sum_decision():
+    # Trial i of config idx is draw_trial(cfg, H1 if i is odd else H0,
+    # RngSpec(1000 + idx, i)), replayed in blocks of rows through the kernel
+    # that draw_trial runs on one row.  The first trials of each config are
+    # also drawn by draw_trial and compared bit for bit.
     t0 = time.time()
     trials_per_config = 9000
+    h1 = np.arange(trials_per_config) % 2 == 1
     mismatches = 0
     total = 0
     for idx, cfg in enumerate(grid_configs()):
-        for i in range(trials_per_config):
-            truth = Hypothesis.H1 if i % 2 else Hypothesis.H0
-            rec = draw_trial(cfg, truth, RngSpec(seed=1000 + idx, stream=i))
-            full_decision = Hypothesis.H1 if rec.full_sum > cfg.threshold else Hypothesis.H0
-            mismatches += rec.decision is not full_decision
-            total += 1
+        n = cfg.n_sensors
+        rows = _BLOCK_ELEMENTS // n
+        sampler = _StreamSampler(1000 + idx)
+        for start in range(0, trials_per_config, rows):
+            truth = h1[start : start + rows]
+            uniforms, normals = np.empty((2, len(truth), n))
+            sampler.read(start, uniforms, normals)
+            ordered, byz, stop_k, decide_h1, full_sum = _simulate(
+                cfg, truth, uniforms, normals, _workspace(len(truth), n)
+            )
+            mismatches += int(np.count_nonzero(decide_h1 != (full_sum > cfg.threshold)))
+            total += len(truth)
+            if start > 0:
+                continue
+            for i in range(50):
+                rec = draw_trial(cfg, Hypothesis(int(truth[i])), RngSpec(1000 + idx, i))
+                assert (rec.stop_k, rec.decision) == (stop_k[i], Hypothesis(int(decide_h1[i])))
+                assert_same_bits(np.float64(rec.full_sum), full_sum[i])
+                assert_same_bits(rec.llrs_ordered, ordered[i])
+                assert np.array_equal(rec.byz_mask, byz[i])
     elapsed = time.time() - t0
     ok = mismatches == 0 and total >= 100_000 and elapsed < 60
     report(

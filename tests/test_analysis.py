@@ -49,8 +49,8 @@ def power_set_error_probs(cfg: ModelConfig) -> tuple[float, float]:
     return out[Hypothesis.H1], out[Hypothesis.H0]
 
 
-def exact_error_prob(cfg: ModelConfig) -> float:
-    """p_e from exact binomial weights and math.erfc tails, summed by math.fsum (oracle)."""
+def exact_tails(cfg: ModelConfig) -> tuple[float, float, float]:
+    """(p_d, p_miss, p_f) from exact binomial weights and math.erfc tails, by math.fsum (oracle)."""
     n, s, var, d = cfg.n_sensors, cfg.signal, cfg.noise_var, cfg.attack_strength
     alpha0 = Fraction(cfg.byz_frac)
     weights = [float(math.comb(n, m) * alpha0**m * (1 - alpha0) ** (n - m)) for m in range(n + 1)]
@@ -65,8 +65,14 @@ def exact_error_prob(cfg: ModelConfig) -> float:
         )
 
     # The LLR (2ys - s^2)/(2 var); a compromised y moves by D toward the wrong hypothesis.
-    p_miss = tail(s * s / (2 * var), (s * s - 2 * s * d) / (2 * var), -1)
+    h1_means = s * s / (2 * var), (s * s - 2 * s * d) / (2 * var)
     p_f = tail(-s * s / (2 * var), (2 * s * d - s * s) / (2 * var), 1)
+    return tail(*h1_means, 1), tail(*h1_means, -1), p_f
+
+
+def exact_error_prob(cfg: ModelConfig) -> float:
+    """p_e from :func:`exact_tails` (oracle)."""
+    _, p_miss, p_f = exact_tails(cfg)
     return cfg.prior_h1 * p_miss + cfg.prior_h0 * p_f
 
 
@@ -140,7 +146,7 @@ class TestAnalyticErrorProbs:
             probs = analytic_error_probs(cfg)
             assert 0.0 <= probs.p_miss <= 1.0
             assert 0.0 <= probs.p_f <= 1.0
-            assert probs.p_d == 1 - probs.p_miss
+            assert probs.p_d + probs.p_miss == pytest.approx(1.0, rel=1e-12, abs=0.0)
             expected = cfg.prior_h1 * probs.p_miss + cfg.prior_h0 * probs.p_f
             assert probs.p_e == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -155,6 +161,16 @@ class TestAnalyticErrorProbs:
             )
             pe = analytic_error_probs(cfg).p_e
             assert pe == pytest.approx(exact_error_prob(cfg), rel=1e-11, abs=0.0), d
+
+    @pytest.mark.parametrize("d", [8, 10, 12])
+    def test_tiny_detection_probability_against_exact_weights(self, d):
+        # Past the blinding strength p_d falls to about 4e-15 (D = 12), where
+        # 1 - p_miss keeps only its leading digit.
+        cfg = ModelConfig(
+            n_sensors=100, signal=3.0, noise_var=1.0, byz_frac=0.5, attack_strength=d
+        )
+        p_d = analytic_error_probs(cfg).p_d
+        assert p_d == pytest.approx(exact_tails(cfg)[0], rel=1e-11, abs=0.0)
 
     def test_matches_power_set_enumeration(self, rng):
         cfg = ModelConfig(

@@ -1,6 +1,7 @@
 """Protocol engine: ordering, early stopping, bounds bracket, batches."""
 
 import ast
+import math
 import random
 from pathlib import Path
 
@@ -107,6 +108,26 @@ class TestPartialSumBounds:
                 b = partial_sum_bounds(ordered[:k], n, 0.0)
                 assert b.z_lower <= full + 1e-12
                 assert full - 1e-12 <= b.z_upper
+
+
+@pytest.mark.parametrize(
+    "llrs, lam",
+    [
+        ([math.nan, 1.0], 0.0),
+        ([1.0, math.nan], 0.0),
+        ([math.inf, 1.0], 0.0),
+        ([-math.inf, 1.0], 0.0),
+        ([1.0, 0.5], math.nan),
+    ],
+    ids=["nan-first", "nan-last", "+inf", "-inf", "lam-nan"],
+)
+def test_non_finite_input_rejected(llrs, lam):
+    # NaN compares false against everything, so it would pass the ordering
+    # check and never fire; an infinite LLR makes the bracket inf - inf.
+    with pytest.raises(ValueError, match="finite"):
+        stopping_rule(llrs, lam)
+    with pytest.raises(ValueError, match="finite"):
+        partial_sum_bounds(llrs, 3, lam)
 
 
 class TestDrawTrial:
@@ -408,6 +429,37 @@ class TestStopKernel:
             assert (int(stop_k[r]), Hypothesis(int(decide_h1[r]))) == expected[r]
             assert full_sum[r] == row.sum()
 
+    @pytest.mark.parametrize("lam", [0.0, math.log(0.7 / 0.3)], ids=["0", "ln(7/3)"])
+    def test_prefix_side_decision_matches_two_branch_scan(self, rng, lam):
+        # The decision is the prefix's side of the threshold at the stop; the
+        # two-branch scan took the side that fired, or the full sum where
+        # nothing fired.  Same stop, decision and full-sum bits on edge rows.
+        third = lam / 3.0
+        rows = [
+            [lam + 2.0, lam - (lam + 2.0)],  # the full sum ties lam: nothing fires
+            [3.0, -3.0, 3.0, 1.0],  # fires only at k = N, toward H1
+            [-3.0, 3.0, -3.0, -1.0],  # fires only at k = N, toward H0
+            [2.0, -2.0, 0.5, -0.5],
+            [0.0, -0.0, 0.0, -0.0],
+            [-0.0, 0.0, -0.0, 0.0],
+            [1.5, -1.5, 1.5, -1.5],
+            [1e150, -1e150, 1.0, -0.5],
+            [-1e150, 9.999999999999999e149, -1e150 / 3, 1e149],
+            [third, third, third],  # sums to lam up to rounding
+        ]
+        blocks = [np.array(row)[None, :] for row in rows]
+        blocks.append(np.array([[5.0], [-5.0], [0.0], [-0.0], [lam], [1e150]]))  # N = 1
+        big = rng.standard_normal((200, 8)) * 1e150
+        small = rng.standard_normal((200, 8)) + lam / 8
+        blocks += [np.vstack([stable_magnitude_order(r) for r in b]) for b in (big, small)]
+        assert np.sum(rows[0]) == lam  # the tie row really ties
+        for block in blocks:
+            got = _stop_scan(block, np.abs(block), lam, _workspace(*block.shape))
+            want = two_branch_stop_scan(block, np.abs(block), lam)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            assert_same_bits(got[2], want[2])
+
     def test_block_simulation_orders_ties_by_sensor_index(self, rng):
         # With s = 2 and sigma^2 = 1, L = 2z - 2 under H0 and 2z + 2 under H1,
         # and the attack D = 1 moves a compromised L by 2 toward the wrong
@@ -478,6 +530,21 @@ class TestStopKernel:
             assert np.array_equal(rec.byz_mask, byz)
 
 
+def two_branch_stop_scan(ordered: np.ndarray, mags: np.ndarray, lam: float):
+    """The stop scan that decided by the side that fired, else by the full sum (reference)."""
+    n = ordered.shape[1]
+    prefix = np.cumsum(ordered, axis=1)
+    spread = mags * np.arange(n - 1, -1, -1, dtype=float)
+    fire_h1 = prefix - spread > lam
+    fired = (prefix + spread < lam) | fire_h1
+    full_sum = prefix[:, -1].copy()
+    first = np.arange(len(fired)), np.argmax(fired, axis=1)
+    stopped = fired[first]
+    stop_k = np.where(stopped, first[1] + 1, n)
+    decide_h1 = np.where(stopped, fire_h1[first], full_sum > lam)
+    return stop_k, decide_h1, full_sum
+
+
 def stable_magnitude_order(llrs: np.ndarray) -> np.ndarray:
     """Transmission order by Python's stable sort on -|L| (ties: lower index first)."""
     return llrs[sorted(range(len(llrs)), key=lambda i: -abs(llrs[i]))]
@@ -512,6 +579,23 @@ class TestStreamSampler:
             assert np.array_equal(gen.random(6), ref.random(6))
             assert np.array_equal(gen.standard_normal(5), ref.standard_normal(5))
             assert gen.random(dtype=np.float32) == ref.random(dtype=np.float32)
+
+    def test_read_matches_fresh_generators(self):
+        # Row r of a read holds stream start + r: its N uniforms, then its N
+        # normals, exactly as a fresh generator of that stream draws them,
+        # also right after a draw that left the sampler mid-stream.
+        n = 7
+        sampler = _StreamSampler(123)
+        for start, rows in ((0, 4), (2**63 - 3, 3), (2**64 - 3, 3), (1, 2)):
+            for leave_mid_stream in (False, True):
+                if leave_mid_stream:
+                    sampler.at(1 << 63).random(5)
+                uniforms, normals = np.empty((2, rows, n))
+                sampler.read(start, uniforms, normals)
+                for r in range(rows):
+                    ref = RngSpec(123, start + r).generator()
+                    assert_same_bits(uniforms[r], ref.random(n))
+                    assert_same_bits(normals[r], ref.standard_normal(n))
 
 
 class TestRngSpec:
