@@ -185,6 +185,11 @@ def transmission_savings_bounds(config: ModelConfig) -> BoundsReport:
     (N/(N-1))-scaled variance, and each threshold event on the k-th
     largest magnitude is evaluated by the binomial identity (see
     :func:`abs_order_stat_cdf`), for all k at once.
+
+    The envelope bounds each realization through its sample moments; with
+    population moments the pair is an approximation that tightens as N
+    grows.  Below N ~ 20 it can miss the simulated savings: ub 5.092 against
+    5.217 +- 0.0013 at N = 10, s = 2, alpha0 = 0.5, D = 30, prior_h1 = 0.05.
     """
     n = config.n_sensors
     if n < 2:

@@ -16,7 +16,7 @@ from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import EstimateWithError, Hypothesis, ModelConfig
+from .core import EstimateWithError, Hypothesis, ModelConfig, llr_mixture
 
 __all__ = [
     "RngSpec",
@@ -171,7 +171,7 @@ class _Workspace(NamedTuple):
     such as the points of a D sweep, reuse them.
     """
 
-    base: np.ndarray  # float: sigma*z + s*h, in sensor order
+    base: np.ndarray  # float: the honest LLR std*z +- mean_honest, in sensor order
     byz: np.ndarray  # bool: compromise mask, in sensor order
     toward: np.ndarray  # float: -1 (H1) or +1 (H0) where compromised, a zero elsewhere
     llrs: np.ndarray  # float: the LLRs in sensor order, then their prefix sums
@@ -276,7 +276,8 @@ def _simulate(
     """Run a block of trials from their raw variates through the stopping engine.
 
     Row r is one trial under H1 if ``h1[r]`` else H0: ``uniforms[r]`` draw
-    the compromise mask and ``normals[r]`` the noise, both in sensor order.
+    the compromise mask and ``normals[r]`` the LLRs' Gaussian parts, both in
+    sensor order, each LLR from the component of ``llr_mixture`` it falls in.
     ``ws`` has exactly one row per trial.  ``base_ready`` says that ``ws``
     already holds this block's ``base``, ``byz`` and ``toward`` for a config
     with the same (signal, noise_var, byz_frac), so only the attack strength
@@ -284,25 +285,16 @@ def _simulate(
     Returns (ordered LLRs, compromise mask, stop_k, decide_h1, full_sum),
     one row or entry per trial; the first two are views of ``ws``.
     """
-    s = config.signal
+    mix = llr_mixture(config, Hypothesis.H1)
     if not base_ready:
         byz = np.less(uniforms, config.byz_frac, out=ws.byz)
         np.multiply(byz, np.where(h1, -1.0, 1.0)[:, None], out=ws.toward)
-        base = np.multiply(normals, math.sqrt(config.noise_var), out=ws.base)
-        base += np.where(h1, s, 0.0)[:, None]
-    # The LLR (2 y s - s^2) / (2 sigma^2) of y = base + toward * D: a
-    # compromised entry moves by D toward the wrong hypothesis (+-1 * D is
-    # exact), an honest one adds a signed zero instead of taking a masked add
-    # (several times slower).  A signed zero can only flip the sign of a zero
-    # y, and y -= s * s (> 0, the config refuses an underflowing s^2) maps
-    # both zeros to -s^2.  Multiplying by 2s rounds the same real product as
-    # multiplying by 2 and then by s, because doubling is exact: no valid
-    # config brings |y| or s near the overflow threshold.
-    y = np.multiply(ws.toward, config.attack_strength, out=ws.llrs)
+        base = np.multiply(normals, mix.std, out=ws.base)
+        base += np.where(h1, mix.mean_honest, -mix.mean_honest)[:, None]
+    # A compromised LLR moves by mean_honest - mean_byz toward the wrong hypothesis;
+    # an honest one adds a signed zero, several times cheaper than a masked add.
+    y = np.multiply(ws.toward, mix.mean_honest - mix.mean_byz, out=ws.llrs)
     y += ws.base
-    y *= 2.0 * s
-    y -= s * s
-    y /= 2.0 * config.noise_var
     ordered, mags = _magnitude_order(y, ws)
     stop_k, decide_h1, full_sum = _stop_scan(ordered, mags, config.threshold, ws)
     return ordered, ws.byz, stop_k, decide_h1, full_sum
@@ -344,11 +336,12 @@ def _magnitude_order(llrs: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.n
 def draw_trial(config: ModelConfig, truth: Hypothesis, rng: RngSpec) -> TrialRecord:
     """Simulate one OT trial under ``truth`` on the stream named by ``rng``.
 
-    Each sensor is independently compromised with probability byz_frac;
-    compromised observations are shifted by the attack strength toward the
-    wrong hypothesis before the LLR is formed.  The stream is consumed as
-    N uniforms (compromise mask), then N normals (noise), so a replay is
-    bit-for-bit stable.
+    Each sensor is independently compromised with probability byz_frac,
+    and its LLR is drawn from that component of ``llr_mixture(config,
+    truth)``: a compromised LLR is the honest one moved toward the wrong
+    hypothesis, the LLR of an observation shifted by the attack strength.
+    The stream is consumed as N uniforms (compromise mask), then N normals
+    (the LLRs' Gaussian parts), so a replay is bit-for-bit stable.
     """
     truth = Hypothesis(truth)
     n = config.n_sensors

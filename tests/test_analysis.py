@@ -421,6 +421,19 @@ class TestSavingsBounds:
         rep = transmission_savings_bounds(ModelConfig(n_sensors=2, signal=4.0))
         assert 0.0 <= rep.lb_saved <= rep.ub_saved <= 1.0
 
+    @pytest.mark.parametrize("s", [0.5, 4.0])
+    @pytest.mark.parametrize("alpha0", [0.0, 0.3])
+    def test_two_sensors_at_equal_priors_never_stop_early(self, s, alpha0):
+        # lam = 0, and the k = 1 bracket L +- |L| touches 0: the strict stop
+        # test cannot fire before both LLRs are in, so nothing is saved.
+        cfg = ModelConfig(n_sensors=2, signal=s, byz_frac=alpha0, attack_strength=3.0)
+        assert run_batch(cfg, 2000, seed=12).mean_saved.value == 0.0
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_two_sensor_lower_bound_is_zero_at_equal_priors(self):
+        # The population envelope claims savings the rule cannot make (above).
+        assert transmission_savings_bounds(ModelConfig(n_sensors=2, signal=4.0)).lb_saved == 0.0
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             transmission_savings_bounds(ModelConfig(n_sensors=1, signal=1.0))

@@ -1,6 +1,7 @@
 """Protocol engine: ordering, early stopping, bounds bracket, batches."""
 
 import ast
+import itertools
 import math
 import random
 from pathlib import Path
@@ -15,6 +16,7 @@ from otdetect import (
     draw_trial,
     expected_transmissions,
     expected_transmissions_each,
+    llr_mixture,
     partial_sum_bounds,
     population_moments,
     run_batch,
@@ -170,6 +172,31 @@ class TestDrawTrial:
         llrs = np.concatenate(vals)
         se = llrs.std(ddof=1) / np.sqrt(llrs.size)
         assert llrs.mean() == pytest.approx(mom.mean_h1, abs=4 * se)
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_llrs_match_observation_domain_oracle(self, n):
+        # Oracle: replay the stream by hand (N uniforms, then N normals), move a
+        # compromised observation y = s*h + sigma*z by D toward the wrong
+        # hypothesis, and form the paper's LLR (2ys - s^2)/(2 sigma^2).  Each
+        # route rounds a few times on terms no larger than |L|, s^2/sigma^2 or
+        # the shift Ds/sigma^2 (which exceeds s^2/sigma^2 when D > s, and can
+        # cancel against the honest part), so they agree to 8 ulps of the largest.
+        eps = np.finfo(float).eps
+        grid = itertools.product(
+            (0.3, 1.0, 2.5), (0.2, 3.0), (0.0, 0.3, 1.0), (0.0, 1.7, 30.0), Hypothesis
+        )
+        for var, s, a, d, truth in grid:
+            cfg = ModelConfig(n_sensors=n, signal=s, noise_var=var, byz_frac=a, attack_strength=d)
+            for stream in range(3):
+                rec = draw_trial(cfg, truth, RngSpec(41, stream))
+                gen = RngSpec(41, stream).generator()
+                byz = gen.random(n) < a
+                y = s * truth + math.sqrt(var) * gen.standard_normal(n)
+                y[byz] += -d if truth else d
+                want = np.sort((2.0 * y * s - s * s) / (2.0 * var))
+                tol = 8 * eps * np.maximum(np.abs(want), max(s * s, d * s) / var)
+                assert np.all(np.abs(np.sort(rec.llrs_ordered) - want) <= tol)
+                assert np.array_equal(rec.byz_mask, byz)
 
     def test_byz_mask_rate(self):
         cfg = ModelConfig(n_sensors=100, signal=1.0, byz_frac=0.3, attack_strength=1.0)
@@ -461,8 +488,9 @@ class TestStopKernel:
             assert_same_bits(got[2], want[2])
 
     def test_block_simulation_orders_ties_by_sensor_index(self, rng):
-        # With s = 2 and sigma^2 = 1, L = 2z - 2 under H0 and 2z + 2 under H1,
-        # and the attack D = 1 moves a compromised L by 2 toward the wrong
+        # With s = 2 and sigma^2 = 1, llr_mixture's std is 2 and mean_honest 2, so
+        # L = 2z - 2 under H0 and 2z + 2 under H1, and the attack D = 1 moves a
+        # compromised L by mean_honest - mean_byz = 2 toward the wrong
         # hypothesis; so z = (k + 2)/2 gives integer LLRs: many magnitude ties
         # of both signs, in a block mixing tied rows with untied ones and rows
         # of signed zeros, under both hypotheses, with uniforms below, on and
@@ -481,10 +509,11 @@ class TestStopKernel:
             ws = _workspace(*normals.shape)
             ordered, byz, stop_k, decide_h1, _ = _simulate(cfg, h1, uniforms, normals, ws)
             assert np.array_equal(byz, uniforms < byz_frac)
+            mix = llr_mixture(cfg, Hypothesis.H1)
+            shift = mix.mean_honest - mix.mean_byz
             for r, z in enumerate(normals):
-                y = z + (cfg.signal if h1[r] else 0.0)
-                np.add(y, -1.0 if h1[r] else 1.0, out=y, where=byz[r])
-                llrs = (2.0 * y * cfg.signal - cfg.signal**2) / 2.0
+                llrs = mix.std * z + (mix.mean_honest if h1[r] else -mix.mean_honest)
+                np.add(llrs, -shift if h1[r] else shift, out=llrs, where=byz[r])
                 want = stable_magnitude_order(llrs)
                 assert_same_bits(ordered[r], want)
                 got = (int(stop_k[r]), Hypothesis(int(decide_h1[r])))
@@ -518,14 +547,16 @@ class TestStopKernel:
     def test_draw_trial_short_rows_bit_for_bit(self, n):
         # Replay each stream by hand: N uniforms, then N normals.
         cfg = ModelConfig(n_sensors=n, signal=3.0, byz_frac=0.5, attack_strength=4.0)
+        mix = llr_mixture(cfg, Hypothesis.H1)
+        shift = mix.mean_honest - mix.mean_byz
         for stream in range(20):
             truth = Hypothesis(stream % 2)
             rec = draw_trial(cfg, truth, RngSpec(17, stream))
             gen = RngSpec(17, stream).generator()
             byz = gen.random(n) < cfg.byz_frac
-            y = gen.standard_normal(n) + (cfg.signal if truth else 0.0)
-            y = np.where(byz, y + (-4.0 if truth else 4.0), y)
-            llrs = (2.0 * y * cfg.signal - cfg.signal**2) / 2.0
+            z = gen.standard_normal(n)
+            llrs = mix.std * z + (mix.mean_honest if truth else -mix.mean_honest)
+            llrs = np.where(byz, llrs + (-shift if truth else shift), llrs)
             assert_same_bits(rec.llrs_ordered, stable_magnitude_order(llrs))
             assert np.array_equal(rec.byz_mask, byz)
 
